@@ -14,15 +14,7 @@ from .core import (
     social_welfare,
 )
 from .distributions import DistributionSpec, UFAuditReport, sample_profile, uf_audit
-from .mechanisms import (
-    MechanismSpec,
-    run_hql,
-    run_mechanism,
-    run_rs,
-    run_rsbs,
-    run_secretary_rs,
-    run_serial_dictator,
-)
+from .mechanisms import MechanismSpec, run_mechanism
 from .opt import OptResult, brute_force_opt, optimal_matching, optimal_value
 from .estimator import (
     EstimateReport,
@@ -52,12 +44,7 @@ __all__ = [
     "sample_profile",
     "uf_audit",
     "MechanismSpec",
-    "run_hql",
     "run_mechanism",
-    "run_rs",
-    "run_rsbs",
-    "run_secretary_rs",
-    "run_serial_dictator",
     "OptResult",
     "brute_force_opt",
     "optimal_matching",

@@ -23,7 +23,7 @@ import numpy as np
 from . import analytics, estimator
 from .core import Instance, RandomStream
 from .distributions import DistributionSpec, sample_profile, uf_audit
-from .mechanisms import MechanismSpec
+from .mechanisms import KINDS, MechanismSpec, q_exact_per_agent
 from .opt import brute_force_opt, optimal_matching
 
 OPTCHECK_TOL = 1e-9
@@ -57,6 +57,22 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _as_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{where}: number out of range") from None
+
+
+def _as_bool(value, where: str) -> bool:
+    # bool("false") is True, so anything but a JSON boolean is rejected
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
     return value
 
 
@@ -117,22 +133,25 @@ def _parse_distribution(cfg, where: str) -> DistributionSpec:
         if name == "iid-uniform01":
             return DistributionSpec.iid_uniform01()
         if name == "iid-bernoulli":
-            return DistributionSpec.iid_bernoulli(float(_require(cfg, "p", where)))
+            return DistributionSpec.iid_bernoulli(_as_number(_require(cfg, "p", where), f"{where}.p"))
         if name == "lower-bound-bernoulli":
             return DistributionSpec.lower_bound_bernoulli()
         if name == "single-agent-adversarial":
             return DistributionSpec.single_agent_adversarial(
                 _as_int(_require(cfg, "agent", where), f"{where}.agent", minimum=0),
-                with_replacement=bool(cfg.get("with_replacement", True)),
+                with_replacement=_as_bool(cfg.get("with_replacement", True), f"{where}.with_replacement"),
             )
         if name == "exchangeable-permutation":
             base = _require(cfg, "base", where)
             if not isinstance(base, list):
                 raise ConfigError(f"{where}.base: expected a list")
-            return DistributionSpec.exchangeable_permutation([float(x) for x in base])
+            return DistributionSpec.exchangeable_permutation(
+                [_as_number(x, f"{where}.base[{k}]") for k, x in enumerate(base)]
+            )
         if name == "favorite-bundle-uniform":
             return DistributionSpec.favorite_bundle_uniform(
-                float(_require(cfg, "hi", where)), float(_require(cfg, "lo", where))
+                _as_number(_require(cfg, "hi", where), f"{where}.hi"),
+                _as_number(_require(cfg, "lo", where), f"{where}.lo"),
             )
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
@@ -143,20 +162,18 @@ def _parse_mechanism(cfg, where: str, default_complete: bool) -> MechanismSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected an object")
     name = _require(cfg, "name", where)
-    complete = bool(cfg.get("complete", default_complete))
+    if name not in KINDS:
+        raise ConfigError(f"{where}.name: unknown mechanism {name!r}")
+    complete = _as_bool(cfg.get("complete", default_complete), f"{where}.complete")
+    order = cfg.get("order")
+    if order is not None:
+        if not isinstance(order, list):
+            raise ConfigError(f"{where}.order: expected a list")
+        order = [_as_int(i, f"{where}.order[{k}]") for k, i in enumerate(order)]
     try:
-        if name in ("rs", "rsbs", "hql", "secretary-rs"):
-            return MechanismSpec(name, complete=complete)
-        if name == "serial-dictator":
-            order = cfg.get("order")
-            if order is not None:
-                if not isinstance(order, list):
-                    raise ConfigError(f"{where}.order: expected a list")
-                order = [_as_int(i, f"{where}.order[{k}]") for k, i in enumerate(order)]
-            return MechanismSpec.serial_dictator(order, complete=complete)
+        return MechanismSpec(name, complete=complete, order=order)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
-    raise ConfigError(f"{where}.name: unknown mechanism {name!r}")
 
 
 def _parse_many(cfg: dict, singular: str, plural: str, parse) -> list:
@@ -187,7 +204,9 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
     flags = cfg.get("flags", {})
     if not isinstance(flags, dict):
         raise ConfigError("flags: expected an object")
-    default_complete = bool(flags.get("complete", cfg.get("complete", False)))
+    default_complete = _as_bool(cfg.get("complete", False), "complete")
+    if "complete" in flags:
+        default_complete = _as_bool(flags["complete"], "flags.complete")
     if getattr(args, "complete", False):
         default_complete = True
 
@@ -219,32 +238,16 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
         "trials": trials,
         "seed": seed,
         "output": str(output),
-        "emit_probs": bool(flags.get("emit_probs", False)),
-        "emit_curve": bool(flags.get("emit_curve", False)),
+        "emit_probs": _as_bool(flags.get("emit_probs", False), "flags.emit_probs"),
+        "emit_curve": _as_bool(flags.get("emit_curve", False), "flags.emit_curve"),
     }
-
-
-# --- q_exact helper -------------------------------------------------------------
-
-
-def _q_exact_per_agent(mech: MechanismSpec, inst: Instance) -> list[float]:
-    if mech.kind in ("rs", "secretary-rs"):
-        return [analytics.rs_q_exact(inst, i) for i in range(inst.n)]
-    if mech.kind == "rsbs":
-        q = analytics.rsbs_q_exact(inst)
-        return [q] * inst.n
-    if mech.kind == "hql":
-        q = analytics.hql_q(inst)
-        return [q] * inst.n
-    order = mech.order if mech.order is not None else tuple(range(inst.n))
-    return [analytics.serial_dictator_q_exact(inst, order, i) for i in range(inst.n)]
 
 
 # --- commands --------------------------------------------------------------------
 
 
 def _write_probs_csv(path: str, mech: MechanismSpec, inst: Instance, report) -> None:
-    q_exact = _q_exact_per_agent(mech, inst)
+    q_exact = q_exact_per_agent(mech, inst)
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["agent", "rank", "q_hat", "ci_half_width", "q_exact"])
@@ -341,19 +344,18 @@ def cmd_probs(args) -> int:
 
 def cmd_curve(args) -> int:
     if args.points < 2:
-        print("error: --points must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--points must be at least 2")
     _write_curve_csv(args.out, args.points)
     return 0
 
 
 def cmd_optcheck(args) -> int:
     if args.max_m > 8:
-        print("error: --max-m is capped at 8 (enumeration bound)", file=sys.stderr)
-        return 2
+        raise ValueError("--max-m is capped at 8 (enumeration bound)")
     if args.max_m < 1:
-        print("error: --max-m must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--max-m must be positive")
+    if args.cases < 0:
+        raise ValueError("--cases must be nonnegative")
     gen = RandomStream(args.seed).generator()
     spec = DistributionSpec.iid_uniform01()
     for case in range(args.cases):

@@ -112,12 +112,11 @@ class ValuationProfile:
 
 @dataclass(frozen=True, eq=False)
 class PreferenceProfile:
-    """Per-agent strict item rankings (best first) plus the derived favorite
-    sets: favorites[i] is exactly the first b_i entries of rankings[i]."""
+    """Per-agent strict item rankings (best first); agent i's favorite set is
+    the first b_i entries of rankings[i]."""
 
     instance: Instance
     rankings: np.ndarray
-    favorites: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
         r = np.array(self.rankings, dtype=np.int64)
@@ -127,11 +126,6 @@ class PreferenceProfile:
         base = np.arange(m)
         if not np.array_equal(np.sort(r, axis=1), np.broadcast_to(base, (n, m))):
             raise ValueError("each ranking must be a permutation of the items")
-        if len(self.favorites) != n:
-            raise ValueError("one favorite set per agent required")
-        for i, b in enumerate(self.instance.quotas):
-            if self.favorites[i] != frozenset(int(g) for g in r[i, :b]):
-                raise ValueError(f"favorites[{i}] must be the top {b} ranked items")
         r.setflags(write=False)
         object.__setattr__(self, "rankings", r)
 
@@ -168,13 +162,6 @@ class Matching:
         assigned = self.assignment[self.assignment >= 0]
         return np.bincount(assigned, minlength=inst.n).astype(np.int64)
 
-    def bundles(self, inst: Instance) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(inst.n)]
-        for g, i in enumerate(self.assignment):
-            if i >= 0:
-                out[i].append(g)
-        return out
-
     def validate(self, inst: Instance) -> None:
         if self.assignment.shape[0] != inst.m:
             raise ValueError("matching length does not match item count")
@@ -206,18 +193,14 @@ def rankings_from_tags(values: np.ndarray, tags: np.ndarray) -> np.ndarray:
 
 
 def derive_preferences(profile: ValuationProfile, rng: RngLike) -> PreferenceProfile:
-    """Turn a valuation profile into strict rankings plus favorite sets.
+    """Turn a valuation profile into strict rankings.
 
     Draw layout: one uniform tag per (agent, item) cell, n*m draws total.
     """
     gen = as_generator(rng)
     inst = profile.instance
     tags = gen.random(inst.n * inst.m).reshape(inst.n, inst.m)
-    rankings = rankings_from_tags(profile.values, tags)
-    favorites = tuple(
-        frozenset(int(g) for g in rankings[i, :b]) for i, b in enumerate(inst.quotas)
-    )
-    return PreferenceProfile(inst, rankings, favorites)
+    return PreferenceProfile(inst, rankings_from_tags(profile.values, tags))
 
 
 def social_welfare(matching: Matching, profile: ValuationProfile) -> float:
@@ -235,22 +218,27 @@ def social_welfare(matching: Matching, profile: ValuationProfile) -> float:
     return math.fsum(float(v[i, g]) for g, i in enumerate(a) if i >= 0)
 
 
-def complete_matching(matching: Matching, inst: Instance) -> Matching:
+def complete_assignment(assignment: np.ndarray, inst: Instance) -> np.ndarray:
     """Deterministically top every agent up to exactly their quota.
 
-    Unassigned items are visited in ascending item order and each goes to the
-    lowest-indexed agent with residual quota.  Existing assignments are kept.
-    Feasibility is guaranteed because the quotas sum to the item count.
+    `assignment` is item-indexed with arbitrary leading batch dimensions and
+    must respect the quotas.  Unassigned items are visited in ascending item
+    order and each goes to the lowest-indexed agent with residual quota;
+    existing assignments are kept.  Feasibility is guaranteed because the
+    quotas sum to the item count.
     """
+    assigned = assignment >= 0
+    counts = (assignment[..., None, :] == np.arange(inst.n)[:, None]).sum(axis=-1)
+    residual = inst.quota_array - counts
+    cum = np.cumsum(residual, axis=-1)
+    # the k-th unassigned item (0-based) goes to the first agent whose
+    # cumulative residual quota exceeds k
+    rank_unassigned = np.cumsum(~assigned, axis=-1) - 1
+    fill = (cum[..., :, None] <= rank_unassigned[..., None, :]).sum(axis=-2)
+    return np.where(assigned, assignment, fill)
+
+
+def complete_matching(matching: Matching, inst: Instance) -> Matching:
+    """Validate a matching, then complete it with complete_assignment."""
     matching.validate(inst)
-    a = matching.assignment.copy()
-    residual = inst.quota_array - matching.bundle_sizes(inst)
-    cursor = 0
-    for g in range(inst.m):
-        if a[g] != UNASSIGNED:
-            continue
-        while residual[cursor] == 0:
-            cursor += 1
-        a[g] = cursor
-        residual[cursor] -= 1
-    return Matching(a)
+    return Matching(complete_assignment(matching.assignment, inst))

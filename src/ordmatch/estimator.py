@@ -25,6 +25,7 @@ from . import analytics, distributions, mechanisms, opt
 from .core import (
     Instance,
     RandomStream,
+    complete_assignment,
     derive_preferences,
     rankings_from_tags,
     social_welfare,
@@ -61,9 +62,6 @@ class ProbMatrixReport:
     count_sumsq: tuple[int, ...]
     trials: int
     seed: int
-
-    def min_q(self) -> float:
-        return min(float(q.min()) for q in self.q_hat)
 
     def favorite_yield(self, agent: int) -> float:
         """Expected favorite-item count of one agent divided by their quota."""
@@ -203,24 +201,11 @@ def _chunk_arrays(
     return values, rankings, assignment
 
 
-def _complete_batch(assignment: np.ndarray, inst: Instance) -> np.ndarray:
-    """Vectorized counterpart of core.complete_matching: ascending items to
-    the lowest-indexed agent with residual quota."""
-    n = inst.n
-    assigned = assignment >= 0
-    counts = (assignment[:, None, :] == np.arange(n)[None, :, None]).sum(axis=-1)
-    residual = inst.quota_array[None, :] - counts
-    cum = np.cumsum(residual, axis=1)
-    rank_unassigned = np.cumsum(~assigned, axis=1) - 1
-    fill = (cum[:, :, None] <= rank_unassigned[:, None, :]).sum(axis=1)
-    return np.where(assigned, assignment, fill)
-
-
 def _distortion_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     mech, dist, inst, params, seed, t0, t1 = args
     values, _, assignment = _chunk_arrays(mech, dist, inst, params, seed, t0, t1)
     if mech.complete:
-        assignment = _complete_batch(assignment, inst)
+        assignment = complete_assignment(assignment, inst)
     batch, m = assignment.shape
     agents = np.where(assignment >= 0, assignment, 0)
     picked = values[np.arange(batch)[:, None], agents, np.arange(m)[None, :]]

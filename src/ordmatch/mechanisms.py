@@ -4,11 +4,12 @@ Every mechanism observes only the agents' favorite sets (the top-quota slice
 of each ranking) plus its own coin flips; rankings are accepted as input so
 callers can measure rank-indexed assignment probabilities.
 
-The *_assign helpers are pure functions of pre-drawn uniforms and accept
-arbitrary leading batch dimensions, so the Monte Carlo engine and the public
-one-shot wrappers share a single implementation.  Wrappers consume uniforms
-from the caller's stream in a fixed order, which is part of the
-reproducibility contract:
+Each mechanism is defined once, in the private `_MECHANISMS` registry, and
+the public lookups below read only that table.  The kernels are pure functions
+of a pre-drawn uniform block with arbitrary leading batch dimensions, so the
+Monte Carlo engine and the one one-shot path, `run_mechanism` (draw the block,
+run the kernel on a batch of one), share a single implementation.  A block is
+consumed in a fixed layout, which is part of the reproducibility contract:
 
     survivor lottery (rs):   u_survive (n), u_pick (m)
     burn/steal (rsbs):       u_survive (n), u_pick (m), u_burn (n), u_steal (1)
@@ -24,7 +25,7 @@ realized preferences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,8 +39,6 @@ from .core import (
     as_generator,
     complete_matching,
 )
-
-KINDS = ("rs", "rsbs", "hql", "secretary-rs", "serial-dictator")
 
 PROB_SANITY_TOL = 1e-9
 
@@ -55,8 +54,8 @@ class MechanismSpec:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.order is not None:
             object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-        if self.kind != "serial-dictator" and self.order is not None:
-            raise ValueError(f"{self.kind} does not take an agent order")
+            if not _MECHANISMS[self.kind].takes_order:
+                raise ValueError(f"{self.kind} does not take an agent order")
 
     @classmethod
     def rs(cls, complete: bool = False) -> "MechanismSpec":
@@ -79,13 +78,14 @@ class MechanismSpec:
         return cls("serial-dictator", complete=complete, order=tuple(order) if order is not None else None)
 
     def label(self) -> str:
-        if self.kind == "serial-dictator" and self.order is not None:
-            return "serial-dictator(" + "|".join(str(i) for i in self.order) + ")"
+        if self.order is not None:
+            return f"{self.kind}(" + "|".join(str(i) for i in self.order) + ")"
         return self.kind
 
 
-def _validate_order(order: Sequence[int], n: int) -> np.ndarray:
-    arr = np.asarray(order, dtype=np.int64)
+def _validate_order(order: Sequence[int] | None, n: int) -> np.ndarray:
+    """A pick order as an array; None stands for the identity order."""
+    arr = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
     if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
         raise ValueError(f"order must be a permutation of the {n} agents")
     return arr
@@ -147,18 +147,14 @@ def hql_parameters(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
 # --- pure assignment kernels (leading batch dimensions allowed) -------------
 
 
-def rs_assign(
-    p_survive: np.ndarray,
-    fav_mask: np.ndarray,
-    u_survive: np.ndarray,
-    u_pick: np.ndarray,
-) -> np.ndarray:
+def rs_assign(p_survive: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Survivor lottery: each item with surviving demand goes to a uniformly
     random surviving agent whose favorite it is."""
-    survive = u_survive < p_survive
+    n, m = fav_mask.shape[-2:]
+    survive = u[..., :n] < p_survive
     demand = fav_mask & survive[..., :, None]
     count = demand.sum(axis=-2)
-    pick = (u_pick * count).astype(np.int64) + 1  # 1-based rank among demanders
+    pick = (u[..., n : n + m] * count).astype(np.int64) + 1  # 1-based rank among demanders
     csum = np.cumsum(demand, axis=-2)
     winner = np.argmax((csum == pick[..., None, :]) & demand, axis=-2)
     return np.where(count > 0, winner, UNASSIGNED).astype(np.int64)
@@ -170,17 +166,15 @@ def rsbs_assign(
     betas: np.ndarray,
     sigma: float,
     fav_mask: np.ndarray,
-    u_survive: np.ndarray,
-    u_pick: np.ndarray,
-    u_burn: np.ndarray,
-    u_steal: np.ndarray,
+    u: np.ndarray,
 ) -> np.ndarray:
     """Three phases: survivor lottery without i_star, independent whole-bundle
     burns, then i_star collects unassigned favorites and steals the rest of
     them with one sigma coin."""
-    phase1 = rs_assign(p_survive_phase1, fav_mask, u_survive, u_pick)
+    n, m = fav_mask.shape[-2:]
+    phase1 = rs_assign(p_survive_phase1, fav_mask, u)
 
-    burn = u_burn < betas
+    burn = u[..., n + m : 2 * n + m] < betas
     assigned = phase1 >= 0
     holder = np.where(assigned, phase1, 0)
     burnt = np.take_along_axis(burn, holder, axis=-1) & assigned
@@ -188,155 +182,119 @@ def rsbs_assign(
 
     fav_star = fav_mask[..., i_star, :]
     phase3 = np.where(fav_star & (phase2 < 0), i_star, phase2)
-    steal = np.asarray(u_steal < sigma)[..., None]
+    steal = np.asarray(u[..., 2 * n + m] < sigma)[..., None]
     held_by_other = fav_star & (phase3 >= 0) & (phase3 != i_star)
     return np.where(held_by_other & steal, i_star, phase3).astype(np.int64)
 
 
-def hql_assign(
-    order: np.ndarray,
-    p_activate: np.ndarray,
-    fav_mask: np.ndarray,
-    u_activate: np.ndarray,
-) -> np.ndarray:
-    """One pass over a fixed agent order; an activated agent irrevocably takes
-    every still-available favorite."""
+def one_pass_assign(order: np.ndarray, active: np.ndarray, fav_mask: np.ndarray) -> np.ndarray:
+    """Visit the agents in `order`, one fixed (n,) order or one (..., n) order
+    per trial; the agent at position pos, when active[..., pos], irrevocably
+    takes every still-available favorite."""
+    n, m = fav_mask.shape[-2:]
     lead = fav_mask.shape[:-2]
-    m = fav_mask.shape[-1]
-    assignment = np.full((*lead, m), UNASSIGNED, dtype=np.int64)
-    available = np.ones((*lead, m), dtype=bool)
-    for pos in range(order.shape[0]):
-        agent = int(order[pos])
-        act = u_activate[..., pos] < p_activate[pos]
-        take = available & fav_mask[..., agent, :] & act[..., None]
-        assignment = np.where(take, agent, assignment)
-        available &= ~take
-    return assignment
-
-
-def secretary_assign(
-    p_survive: np.ndarray,
-    fav_mask: np.ndarray,
-    u_survive: np.ndarray,
-    u_order: np.ndarray,
-) -> np.ndarray:
-    """Survivor lottery visited in a uniformly random agent order; a visited
-    survivor takes every still-available favorite."""
-    n = fav_mask.shape[-2]
-    lead = fav_mask.shape[:-2]
-    m = fav_mask.shape[-1]
-    survive = u_survive < p_survive
-    perm = np.argsort(u_order, axis=-1)
+    order = np.broadcast_to(order, (*lead, n))
+    active = np.broadcast_to(active, (*lead, n))
     assignment = np.full((*lead, m), UNASSIGNED, dtype=np.int64)
     available = np.ones((*lead, m), dtype=bool)
     for pos in range(n):
-        agent = perm[..., pos]
+        agent = order[..., pos]
         fav = np.take_along_axis(fav_mask, agent[..., None, None], axis=-2)[..., 0, :]
-        act = np.take_along_axis(survive, agent[..., None], axis=-1)[..., 0]
-        take = available & fav & act[..., None]
+        take = available & fav & active[..., pos, None]
         assignment = np.where(take, agent[..., None], assignment)
         available &= ~take
     return assignment
 
 
-def serial_assign(order: np.ndarray, fav_mask: np.ndarray) -> np.ndarray:
+def _hql_assign(order: np.ndarray, p_activate: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Highest quota last: one pass over a fixed order, the agent at position
+    pos activated by its own coin u_activate[pos]."""
+    return one_pass_assign(order, u[..., : order.shape[0]] < p_activate, fav_mask)
+
+
+def _secretary_assign(p_survive: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Survivor lottery visited in a uniformly random agent order; a visited
+    survivor takes every still-available favorite."""
+    n = fav_mask.shape[-2]
+    survive = u[..., :n] < p_survive
+    order = np.argsort(u[..., n : 2 * n], axis=-1)
+    return one_pass_assign(order, np.take_along_axis(survive, order, axis=-1), fav_mask)
+
+
+def _serial_assign(order: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Deterministic one-pass baseline: each agent in turn takes every
     still-available favorite with certainty."""
-    lead = fav_mask.shape[:-2]
-    m = fav_mask.shape[-1]
-    assignment = np.full((*lead, m), UNASSIGNED, dtype=np.int64)
-    available = np.ones((*lead, m), dtype=bool)
-    for pos in range(order.shape[0]):
-        agent = int(order[pos])
-        take = available & fav_mask[..., agent, :]
-        assignment = np.where(take, agent, assignment)
-        available &= ~take
-    return assignment
+    return one_pass_assign(order, np.ones(order.shape, dtype=bool), fav_mask)
 
 
-# --- public one-shot wrappers ------------------------------------------------
+# --- the registry -------------------------------------------------------------
 
 
-def _check_prefs(inst: Instance, prefs: PreferenceProfile) -> None:
-    if prefs.instance != inst:
-        raise ValueError("preference profile was derived for a different instance")
+@dataclass(frozen=True)
+class _Mechanism:
+    """One mechanism's whole definition.  The kernel is called as
+    `assign(*params(spec, inst), fav_mask, u)`: fav_mask has shape (..., n, m),
+    u has shape (..., draw_count(n, m)), and it returns (..., m) item holders."""
+
+    draw_count: Callable[[int, int], int]
+    params: Callable[[MechanismSpec, Instance], tuple]
+    assign: Callable[..., np.ndarray]
+    q_exact: Callable[[MechanismSpec, Instance], list[float]]
+    takes_order: bool = False
 
 
-def run_rs(inst: Instance, prefs: PreferenceProfile, rng: RngLike) -> Matching:
-    _check_prefs(inst, prefs)
-    gen = as_generator(rng)
-    u_survive = gen.random(inst.n)
-    u_pick = gen.random(inst.m)
-    return Matching(rs_assign(survivor_probs(inst), prefs.favorite_mask(), u_survive, u_pick))
+def _survivor_q_exact(spec: MechanismSpec, inst: Instance) -> list[float]:
+    return [analytics.rs_q_exact(inst, i) for i in range(inst.n)]
 
 
-def run_rsbs(inst: Instance, prefs: PreferenceProfile, rng: RngLike) -> Matching:
-    _check_prefs(inst, prefs)
-    gen = as_generator(rng)
-    i_star, p1, betas, sigma = rsbs_parameters(inst)
-    u_survive = gen.random(inst.n)
-    u_pick = gen.random(inst.m)
-    u_burn = gen.random(inst.n)
-    u_steal = np.float64(gen.random())
-    return Matching(
-        rsbs_assign(i_star, p1, betas, sigma, prefs.favorite_mask(), u_survive, u_pick, u_burn, u_steal)
-    )
+_MECHANISMS: dict[str, _Mechanism] = {
+    "rs": _Mechanism(
+        draw_count=lambda n, m: n + m,
+        params=lambda spec, inst: (survivor_probs(inst),),
+        assign=rs_assign,
+        q_exact=_survivor_q_exact,
+    ),
+    "rsbs": _Mechanism(
+        draw_count=lambda n, m: n + m + n + 1,
+        params=lambda spec, inst: rsbs_parameters(inst),
+        assign=rsbs_assign,
+        q_exact=lambda spec, inst: [analytics.rsbs_q_exact(inst)] * inst.n,
+    ),
+    "hql": _Mechanism(
+        draw_count=lambda n, m: n,
+        params=lambda spec, inst: hql_parameters(inst),
+        assign=_hql_assign,
+        q_exact=lambda spec, inst: [analytics.hql_q(inst)] * inst.n,
+    ),
+    "secretary-rs": _Mechanism(
+        draw_count=lambda n, m: 2 * n,
+        params=lambda spec, inst: (survivor_probs(inst),),
+        assign=_secretary_assign,
+        q_exact=_survivor_q_exact,  # visiting order does not change the marginals
+    ),
+    "serial-dictator": _Mechanism(
+        draw_count=lambda n, m: 0,
+        params=lambda spec, inst: (_validate_order(spec.order, inst.n),),
+        assign=_serial_assign,
+        q_exact=lambda spec, inst: [
+            analytics.serial_dictator_q_exact(inst, _validate_order(spec.order, inst.n), i)
+            for i in range(inst.n)
+        ],
+        takes_order=True,
+    ),
+}
 
-
-def run_hql(inst: Instance, prefs: PreferenceProfile, rng: RngLike) -> Matching:
-    _check_prefs(inst, prefs)
-    gen = as_generator(rng)
-    order, probs = hql_parameters(inst)
-    u_activate = gen.random(inst.n)
-    return Matching(hql_assign(order, probs, prefs.favorite_mask(), u_activate))
-
-
-def run_secretary_rs(inst: Instance, prefs: PreferenceProfile, rng: RngLike) -> Matching:
-    _check_prefs(inst, prefs)
-    gen = as_generator(rng)
-    u_survive = gen.random(inst.n)
-    u_order = gen.random(inst.n)
-    return Matching(secretary_assign(survivor_probs(inst), prefs.favorite_mask(), u_survive, u_order))
-
-
-def run_serial_dictator(inst: Instance, prefs: PreferenceProfile, order: Sequence[int]) -> Matching:
-    _check_prefs(inst, prefs)
-    arr = _validate_order(order, inst.n)
-    return Matching(serial_assign(arr, prefs.favorite_mask()))
-
-
-def run_mechanism(spec: MechanismSpec, inst: Instance, prefs: PreferenceProfile, rng: RngLike) -> Matching:
-    """Dispatch on the spec and apply the optional quota-filling post-pass."""
-    if spec.kind == "rs":
-        matching = run_rs(inst, prefs, rng)
-    elif spec.kind == "rsbs":
-        matching = run_rsbs(inst, prefs, rng)
-    elif spec.kind == "hql":
-        matching = run_hql(inst, prefs, rng)
-    elif spec.kind == "secretary-rs":
-        matching = run_secretary_rs(inst, prefs, rng)
-    elif spec.kind == "serial-dictator":
-        order = spec.order if spec.order is not None else tuple(range(inst.n))
-        matching = run_serial_dictator(inst, prefs, order)
-    else:  # pragma: no cover
-        raise AssertionError(spec.kind)
-    if spec.complete:
-        matching = complete_matching(matching, inst)
-    return matching
+KINDS = tuple(_MECHANISMS)
 
 
 def mechanism_draw_count(spec: MechanismSpec, inst: Instance) -> int:
     """Uniforms one run consumes (the fixed layout size)."""
-    n, m = inst.n, inst.m
-    if spec.kind == "rs":
-        return n + m
-    if spec.kind == "rsbs":
-        return n + m + n + 1
-    if spec.kind == "hql":
-        return n
-    if spec.kind == "secretary-rs":
-        return 2 * n
-    return 0
+    return _MECHANISMS[spec.kind].draw_count(inst.n, inst.m)
+
+
+def mechanism_params(spec: MechanismSpec, inst: Instance) -> tuple:
+    """Precompute the per-instance constants a mechanism consumes."""
+    return _MECHANISMS[spec.kind].params(spec, inst)
 
 
 def assign_from_uniforms(
@@ -349,47 +307,26 @@ def assign_from_uniforms(
     """Run a mechanism from a pre-drawn uniform block (layout above).
 
     `params` must come from mechanism_params(spec, inst); `u` has shape
-    (..., mechanism_draw_count) and `fav_mask` (..., n, m).  Used by the
-    batched estimator; bit-compatible with the run_* wrappers.
+    (..., mechanism_draw_count) and `fav_mask` (..., n, m).
     """
-    n, m = inst.n, inst.m
-    if spec.kind == "rs":
-        (p,) = params
-        return rs_assign(p, fav_mask, u[..., :n], u[..., n : n + m])
-    if spec.kind == "rsbs":
-        i_star, p1, betas, sigma = params
-        return rsbs_assign(
-            i_star,
-            p1,
-            betas,
-            sigma,
-            fav_mask,
-            u[..., :n],
-            u[..., n : n + m],
-            u[..., n + m : n + m + n],
-            u[..., n + m + n],
-        )
-    if spec.kind == "hql":
-        order, probs = params
-        return hql_assign(order, probs, fav_mask, u[..., :n])
-    if spec.kind == "secretary-rs":
-        (p,) = params
-        return secretary_assign(p, fav_mask, u[..., :n], u[..., n : 2 * n])
-    if spec.kind == "serial-dictator":
-        (order,) = params
-        return serial_assign(order, fav_mask)
-    raise AssertionError(spec.kind)  # pragma: no cover
+    return _MECHANISMS[spec.kind].assign(*params, fav_mask, u)
 
 
-def mechanism_params(spec: MechanismSpec, inst: Instance) -> tuple:
-    """Precompute the per-instance constants a mechanism consumes."""
-    if spec.kind in ("rs", "secretary-rs"):
-        return (survivor_probs(inst),)
-    if spec.kind == "rsbs":
-        return rsbs_parameters(inst)
-    if spec.kind == "hql":
-        return hql_parameters(inst)
-    if spec.kind == "serial-dictator":
-        order = spec.order if spec.order is not None else tuple(range(inst.n))
-        return (_validate_order(order, inst.n),)
-    raise AssertionError(spec.kind)  # pragma: no cover
+def q_exact_per_agent(spec: MechanismSpec, inst: Instance) -> list[float]:
+    """Closed-form probability that each agent receives any one favorite item."""
+    return _MECHANISMS[spec.kind].q_exact(spec, inst)
+
+
+def run_mechanism(spec: MechanismSpec, inst: Instance, prefs: PreferenceProfile, rng: RngLike) -> Matching:
+    """Run one mechanism once: draw its uniform block from `rng`, run the
+    batched kernel on a batch of one, and apply the optional quota-filling
+    post-pass.  Bit-identical to the same trial inside the batched engine."""
+    if prefs.instance != inst:
+        raise ValueError("preference profile was derived for a different instance")
+    params = mechanism_params(spec, inst)
+    u = as_generator(rng).random(mechanism_draw_count(spec, inst))
+    assignment = assign_from_uniforms(spec, inst, params, prefs.favorite_mask()[None], u[None])
+    matching = Matching(assignment[0])
+    if spec.complete:
+        matching = complete_matching(matching, inst)
+    return matching

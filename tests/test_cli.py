@@ -144,18 +144,79 @@ class TestRun:
         err = capsys.readouterr().err
         assert "byte" in err
 
-    def test_field_precise_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            pytest.param(
+                {"instance": {"quotas": [1, 0]}},
+                "instance.quotas[1]",
+                id="quota-zero",
+            ),
+            pytest.param(
+                {"mechanism": {"name": "rs", "complete": "false"}},
+                "mechanism.complete",
+                id="mechanism-complete-string",
+            ),
+            pytest.param({"complete": "false"}, "complete", id="complete-string"),
+            pytest.param({"flags": {"complete": 1}}, "flags.complete", id="flags-complete-int"),
+            pytest.param({"flags": {"emit_probs": "true"}}, "flags.emit_probs", id="emit-probs-string"),
+            pytest.param({"flags": {"emit_curve": 0}}, "flags.emit_curve", id="emit-curve-int"),
+            pytest.param(
+                {
+                    "distribution": {
+                        "name": "single-agent-adversarial",
+                        "agent": 0,
+                        "with_replacement": "false",
+                    }
+                },
+                "distribution.with_replacement",
+                id="with-replacement-string",
+            ),
+            pytest.param(
+                {"distribution": {"name": "iid-bernoulli", "p": True}},
+                "distribution.p",
+                id="p-bool",
+            ),
+            pytest.param(
+                {"distribution": {"name": "iid-bernoulli", "p": "0.5"}},
+                "distribution.p",
+                id="p-string",
+            ),
+            pytest.param(
+                {"distribution": {"name": "iid-bernoulli", "p": 10**400}},
+                "distribution.p",
+                id="p-huge-int",
+            ),
+            pytest.param(
+                {"distribution": {"name": "favorite-bundle-uniform", "hi": "1", "lo": 0.0}},
+                "distribution.hi",
+                id="hi-string",
+            ),
+            pytest.param(
+                {"distribution": {"name": "favorite-bundle-uniform", "hi": 1.0, "lo": False}},
+                "distribution.lo",
+                id="lo-bool",
+            ),
+            pytest.param(
+                {"distribution": {"name": "exchangeable-permutation", "base": [1.0, "0"]}},
+                "distribution.base[1]",
+                id="base-string",
+            ),
+        ],
+    )
+    def test_field_precise_error(self, tmp_path, capsys, override, field):
         cfg = write_config(
             tmp_path / "c.json",
             {
-                "instance": {"quotas": [1, 0]},
+                "instance": {"quotas": [1, 1]},
                 "distribution": {"name": "iid-uniform01"},
                 "mechanism": {"name": "rs"},
-                "output": "x.csv",
+                "output": str(tmp_path / "x.csv"),
+                **override,
             },
         )
         assert main(["run", cfg]) == 2
-        assert "instance.quotas[1]" in capsys.readouterr().err
+        assert f"config error: {field}:" in capsys.readouterr().err
 
     def test_unknown_names_exit_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -257,6 +318,7 @@ class TestOptcheck:
 
     def test_precondition_exit_2(self):
         assert main(["optcheck", "--max-m", "9", "--cases", "5", "--seed", "0"]) == 2
+        assert main(["optcheck", "--max-m", "5", "--cases", "-3", "--seed", "0"]) == 2
 
     def test_zero_cases_vacuous(self):
         assert main(["optcheck", "--max-m", "5", "--cases", "0", "--seed", "0"]) == 0

@@ -19,9 +19,6 @@ from ordmatch.mechanisms import (
     mechanism_draw_count,
     rsbs_parameters,
     run_mechanism,
-    run_rs,
-    run_secretary_rs,
-    run_serial_dictator,
     survivor_probs,
 )
 
@@ -37,11 +34,7 @@ ALL_SPECS = [
 
 
 def manual_prefs(inst, rankings):
-    rankings = np.asarray(rankings)
-    favorites = tuple(
-        frozenset(int(g) for g in rankings[i, :b]) for i, b in enumerate(inst.quotas)
-    )
-    return PreferenceProfile(inst, rankings, favorites)
+    return PreferenceProfile(inst, np.asarray(rankings))
 
 
 class TestSurvivorLottery:
@@ -167,7 +160,7 @@ class TestSecretaryVariant:
         trials = 20_000
         wins = 0
         for _ in range(trials):
-            matching = run_secretary_rs(inst, prefs, gen)
+            matching = run_mechanism(MechanismSpec.secretary_rs(), inst, prefs, gen)
             assert matching.assignment[0] in (0, 1)
             wins += matching.assignment[0] == 0
         sigma = math.sqrt(trials * 0.25)
@@ -178,22 +171,22 @@ class TestSerialDictator:
     def test_disjoint_favorites_all_served(self):
         inst = Instance((1, 1))
         prefs = manual_prefs(inst, [[0, 1], [1, 0]])
-        matching = run_serial_dictator(inst, prefs, (0, 1))
+        matching = run_mechanism(MechanismSpec.serial_dictator((0, 1)), inst, prefs, RandomStream(0))
         assert list(matching.assignment) == [0, 1]
 
     def test_dictatorship_and_symmetry(self):
         inst = Instance((1, 1))
         prefs = manual_prefs(inst, [[0, 1], [0, 1]])
-        first = run_serial_dictator(inst, prefs, (0, 1))
+        first = run_mechanism(MechanismSpec.serial_dictator((0, 1)), inst, prefs, RandomStream(0))
         assert first.assignment[0] == 0 and first.assignment[1] == -1
-        flipped = run_serial_dictator(inst, prefs, (1, 0))
+        flipped = run_mechanism(MechanismSpec.serial_dictator((1, 0)), inst, prefs, RandomStream(0))
         assert flipped.assignment[0] == 1 and flipped.assignment[1] == -1
 
     def test_rejects_invalid_order(self):
         inst = Instance((1, 1))
         prefs = manual_prefs(inst, [[0, 1], [1, 0]])
         with pytest.raises(ValueError):
-            run_serial_dictator(inst, prefs, (0, 0))
+            run_mechanism(MechanismSpec.serial_dictator((0, 0)), inst, prefs, RandomStream(0))
 
 
 class TestStructuralProperties:
@@ -209,7 +202,7 @@ class TestStructuralProperties:
                 matching.validate(inst)
                 for g, holder in enumerate(matching.assignment):
                     if holder >= 0:
-                        assert g in prefs.favorites[holder], (spec.kind, g, holder)
+                        assert g in set(prefs.rankings[holder, : inst.quotas[holder]]), (spec.kind, g, holder)
 
     def test_completion_post_pass_fills_quotas(self):
         gen = RandomStream(314).generator()
@@ -241,4 +234,4 @@ class TestStructuralProperties:
         profile = sample_profile(DistributionSpec.iid_uniform01(), other, gen)
         prefs = derive_preferences(profile, gen)
         with pytest.raises(ValueError):
-            run_rs(inst, prefs, RandomStream(1))
+            run_mechanism(MechanismSpec.rs(), inst, prefs, RandomStream(1))

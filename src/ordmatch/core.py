@@ -131,11 +131,7 @@ class PreferenceProfile:
 
     def favorite_mask(self) -> np.ndarray:
         """Boolean (n, m) matrix: mask[i, g] iff item g is a favorite of i."""
-        n, m = self.instance.n, self.instance.m
-        mask = np.zeros((n, m), dtype=bool)
-        for i, b in enumerate(self.instance.quotas):
-            mask[i, self.rankings[i, :b]] = True
-        return mask
+        return favorite_mask(self.rankings, self.instance.quotas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +186,23 @@ def rankings_from_tags(values: np.ndarray, tags: np.ndarray) -> np.ndarray:
     flat_t = t.reshape(-1, m)
     idx = np.lexsort((flat_t, -flat_v), axis=-1)
     return idx.reshape(v.shape).astype(np.int64)
+
+
+def favorite_mask(rankings: np.ndarray, quotas: tuple[int, ...]) -> np.ndarray:
+    """Boolean (..., n, m) mask of each agent's top-b_i items.
+
+    `rankings` has shape (..., n, k) with k >= max(quotas): only the first
+    b_i entries of row i are read, so a truncated ranking table will do.
+    """
+    q = np.asarray(quotas, dtype=np.int64)
+    n, m = q.size, int(q.sum())
+    top = np.arange(rankings.shape[-1]) < q[:, None]
+    # flat (agent, item) cell of every favorite, offset by its batch position
+    cells = (np.repeat(np.arange(n) * m, q) + rankings[..., top]).reshape(-1, m)
+    cells += n * m * np.arange(cells.shape[0])[:, None]
+    mask = np.zeros(rankings.shape[:-2] + (n, m), dtype=bool)
+    mask.reshape(-1)[cells] = True
+    return mask
 
 
 def derive_preferences(profile: ValuationProfile, rng: RngLike) -> PreferenceProfile:

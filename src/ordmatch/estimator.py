@@ -27,6 +27,7 @@ from .core import (
     RandomStream,
     complete_assignment,
     derive_preferences,
+    favorite_mask,
     rankings_from_tags,
     social_welfare,
 )
@@ -121,7 +122,10 @@ def _resolve_workers(workers: int | None) -> int:
     env = os.environ.get("ORDMATCH_THREADS")
     if env is None:
         return 1
-    w = int(env)
+    try:
+        w = int(env)
+    except ValueError:
+        raise ValueError(f"ORDMATCH_THREADS must be an integer, got {env!r}") from None
     if w < 0:
         raise ValueError("ORDMATCH_THREADS must be >= 0")
     return w if w > 0 else (os.cpu_count() or 1)
@@ -194,9 +198,7 @@ def _chunk_arrays(
         rankings = _top_items_one_to_one(values, tags)
     else:
         rankings = rankings_from_tags(values, tags)
-    fav_mask = np.zeros((batch, n, m), dtype=bool)
-    for i, b in enumerate(inst.quotas):
-        np.put_along_axis(fav_mask[:, i, :], rankings[:, i, :b], True, axis=-1)
+    fav_mask = favorite_mask(rankings, inst.quotas)
     assignment = mechanisms.assign_from_uniforms(mech, inst, params, fav_mask, block[:, d_sample + d_tags :])
     return values, rankings, assignment
 
@@ -211,7 +213,7 @@ def _distortion_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     picked = values[np.arange(batch)[:, None], agents, np.arange(m)[None, :]]
     picked = np.where(assignment >= 0, picked, 0.0)
     sw = np.array([math.fsum(row) for row in picked.tolist()])
-    opt_vals = np.array([opt.optimal_value(inst, values[k]) for k in range(batch)])
+    opt_vals = opt.optimal_values(inst, values)
     worst = np.flatnonzero(sw > opt_vals)
     if worst.size:
         t = t0 + int(worst[0])

@@ -1,10 +1,27 @@
 """Exact maximum-welfare b-matching.
 
-The main solver expands each agent into unit-capacity slots and hands the
-slot-item bipartite graph to an exact assignment routine; rows and columns
-that are entirely zero are dropped first, which keeps the sparse 0/1 profiles
-of the adversarial generators essentially free.  A tiny enumeration oracle is
-kept alongside for cross-validation and never shares code with the solver.
+The engine calls `optimal_values` once per chunk on a (batch, n, m) stack of
+value matrices.  It works in three steps:
+
+1. Column-maximum shortcut, vectorised over the batch.  Give every item with
+   a positive value to the agent that values it most (`argmax`, ties to the
+   lowest index).  If no agent then holds more than its quota, that
+   assignment is optimal: sum_g max_i v[i, g] bounds every b-matching from
+   above and this one reaches it.  Every favorite-bundle profile with lo = 0
+   and most sparse 0/1 profiles stop here.
+2. The remaining trials, one at a time.  A dense trial (every value
+   positive) goes straight to the assignment routine on its slot-expanded
+   matrix, each agent i repeated b_i times.  Any other trial goes through
+   `_solve_assignment`, which drops all-zero rows and columns first; that
+   keeps sparse profiles cheap.
+3. One `math.fsum` per trial over the item -> value row.  Unassigned items
+   contribute an exact zero, so each value is bitwise the fsum of the chosen
+   entries.
+
+`optimal_value` is `optimal_values` on a batch of one, so the one-shot API
+and the engine run the same code.  `optimal_matching` also returns the
+matching, completed to exact quotas.  A tiny enumeration oracle is kept
+alongside for cross-validation and never shares code with the solver.
 """
 
 from __future__ import annotations
@@ -43,11 +60,36 @@ def _solve_assignment(inst: Instance, values: np.ndarray) -> np.ndarray:
     return assignment
 
 
+def optimal_values(inst: Instance, values: np.ndarray) -> np.ndarray:
+    """Maximum social welfare of each matrix in a (batch, n, m) stack."""
+    values = np.asarray(values, dtype=np.float64)
+    n, m = inst.n, inst.m
+    if values.ndim != 3 or values.shape[1:] != (n, m):
+        raise ValueError(f"expected a (batch, {n}, {m}) value stack, got shape {values.shape}")
+    batch = values.shape[0]
+    picked = values.max(axis=1)  # column maxima, overwritten below where infeasible
+    owner = values.argmax(axis=1) + n * np.arange(batch)[:, None]
+    loads = np.bincount(owner[picked > 0], minlength=batch * n).reshape(batch, n)
+    hard = np.flatnonzero((loads > inst.quota_array).any(axis=1))
+    if hard.size:
+        dense = values[hard].all(axis=(1, 2))
+        slots = np.repeat(np.arange(n), inst.quotas)
+        picked[hard] = 0.0
+        for k, is_dense in zip(hard.tolist(), dense.tolist()):
+            v = values[k]
+            if is_dense:
+                r_idx, c_idx = linear_sum_assignment(v if m == n else v[slots], maximize=True)
+                picked[k, c_idx] = v[slots[r_idx], c_idx]
+            else:
+                assignment = _solve_assignment(inst, v)
+                items = np.flatnonzero(assignment >= 0)
+                picked[k, items] = v[assignment[items], items]
+    return np.array([math.fsum(row) for row in picked.tolist()])
+
+
 def optimal_value(inst: Instance, values: np.ndarray) -> float:
-    """Maximum social welfare, without materializing the matching object."""
-    assignment = _solve_assignment(inst, values)
-    items = np.flatnonzero(assignment >= 0)
-    return math.fsum(values[assignment[items], items].tolist())
+    """Maximum social welfare of one (n, m) value matrix."""
+    return float(optimal_values(inst, np.asarray(values)[None])[0])
 
 
 def optimal_matching(inst: Instance, profile: ValuationProfile) -> OptResult:

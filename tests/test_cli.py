@@ -232,6 +232,16 @@ class TestRun:
         assert "mystery" in capsys.readouterr().err
 
 
+    def test_non_integer_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ORDMATCH_THREADS", "abc")
+        cfg = write_config(
+            tmp_path / "c.json", {**BASE_RUN, "trials": 10, "output": str(tmp_path / "out.csv")}
+        )
+        assert main(["run", cfg]) == 2
+        assert "error: ORDMATCH_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestProbs:
     def run_probs(self, tmp_path, mechanism, quotas=(1, 2, 3), trials=30_000):
         cfg = write_config(
@@ -327,6 +337,11 @@ class TestOptcheck:
         monkeypatch.setattr(cli, "brute_force_opt", lambda inst, profile: -1.0)
         assert main(["optcheck", "--max-m", "4", "--cases", "3", "--seed", "1"]) == 3
         assert "mismatch" in capsys.readouterr().err
+
+    def test_engine_oracle_is_checked(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "optimal_value", lambda inst, values: -1.0)
+        assert main(["optcheck", "--max-m", "4", "--cases", "3", "--seed", "1"]) == 3
+        assert "engine=-1.0" in capsys.readouterr().err
 
 
 class TestUfaudit:

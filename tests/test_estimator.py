@@ -74,6 +74,11 @@ class TestDistortionEstimates:
         )
         assert abs(rep.distortion_estimate - 21 / 20) <= 3 * rep.stderr_ratio
 
+    def test_non_integer_thread_count_named(self, monkeypatch):
+        monkeypatch.setenv("ORDMATCH_THREADS", "abc")
+        with pytest.raises(ValueError, match="^ORDMATCH_THREADS must be an integer, got 'abc'$"):
+            estimate_distortion(MechanismSpec.rs(), UNIFORM, Instance((1, 1)), 10, 1)
+
     def test_rejects_bad_arguments(self):
         inst = Instance((1, 1))
         with pytest.raises(ValueError):

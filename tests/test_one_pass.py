@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordmatch import UNASSIGNED, Instance, complete_matching
-from ordmatch.core import Matching, complete_assignment
+from ordmatch.core import Matching, PreferenceProfile, complete_assignment, favorite_mask
 from ordmatch.mechanisms import (
     MechanismSpec,
     assign_from_uniforms,
@@ -141,3 +141,20 @@ def test_one_pass_mechanisms_read_their_layout(quotas, lead, seed):
                 active = [True] * n
             expected = reference_one_pass(order, active, fav[idx].tolist())
             assert out[idx].tolist() == expected, spec.kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotas=QUOTAS, lead=LEAD, truncate=st.booleans(), seed=SEEDS)
+def test_favorite_mask_matches_reference_loop(quotas, lead, truncate, seed):
+    inst = Instance(tuple(quotas))
+    rng = np.random.default_rng(seed)
+    rankings = np.argsort(rng.random((*lead, inst.n, inst.m)), axis=-1)
+    expected = np.zeros(rankings.shape, dtype=bool)
+    for idx in np.ndindex(rankings.shape[:-2]):
+        for i, b in enumerate(inst.quotas):
+            for g in rankings[idx][i, :b]:
+                expected[idx][i, g] = True
+    table = rankings[..., : inst.b_max] if truncate else rankings
+    assert np.array_equal(favorite_mask(table, inst.quotas), expected)
+    if not lead:
+        assert np.array_equal(PreferenceProfile(inst, rankings).favorite_mask(), expected)

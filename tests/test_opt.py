@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordmatch import (
     Instance,
@@ -10,7 +14,14 @@ from ordmatch import (
 from ordmatch.distributions import DistributionSpec, sample_profile
 from ordmatch.mechanisms import MechanismSpec, run_mechanism
 from ordmatch.core import derive_preferences
-from ordmatch.opt import brute_force_opt, optimal_matching, optimal_value
+from ordmatch import opt
+from ordmatch.opt import (
+    _solve_assignment,
+    brute_force_opt,
+    optimal_matching,
+    optimal_value,
+    optimal_values,
+)
 
 from conftest import random_instance
 
@@ -134,3 +145,98 @@ def test_rejects_profile_from_other_instance():
         optimal_matching(inst, profile)
     with pytest.raises(ValueError):
         brute_force_opt(inst, profile)
+
+
+# --- the engine's batched oracle -------------------------------------------------
+
+PROFILE_KINDS = ("uniform", "bernoulli-0.3", "bernoulli-1/n^2", "bundle-hi-lo", "integer-ties", "zero")
+
+
+def reference_value(inst, values):
+    """Per-trial oracle: zero rows and columns dropped, one assignment solve,
+    fsum of the chosen entries."""
+    assignment = _solve_assignment(inst, values)
+    items = np.flatnonzero(assignment >= 0)
+    return math.fsum(values[assignment[items], items].tolist())
+
+
+def draw_profile(kind, inst, rng):
+    n, m = inst.n, inst.m
+    if kind == "uniform":
+        return rng.random((n, m))
+    if kind == "bernoulli-0.3":
+        return (rng.random((n, m)) < 0.3).astype(np.float64)
+    if kind == "bernoulli-1/n^2":
+        return (rng.random((n, m)) < 1.0 / n**2).astype(np.float64)
+    if kind == "bundle-hi-lo":
+        lo = float(rng.choice([0.0, 0.25]))
+        values = np.full((n, m), lo)
+        for i, b in enumerate(inst.quotas):
+            values[i, rng.permutation(m)[:b]] = 1.0
+        return values
+    if kind == "integer-ties":
+        values = rng.integers(0, 3, (n, m)).astype(np.float64)
+        g = int(rng.integers(m))
+        values[:, g] = values[:, g].max()  # every agent ties at this column's maximum
+        return values
+    return np.zeros((n, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    quotas=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    kinds=st.lists(st.sampled_from(PROFILE_KINDS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimal_values_match_per_trial_oracle(quotas, kinds, seed):
+    inst = Instance(tuple(quotas))
+    rng = np.random.default_rng(seed)
+    stack = np.stack([draw_profile(kind, inst, rng) for kind in kinds])
+    got = optimal_values(inst, stack)
+    assert got.shape == (len(kinds),)
+    ref = np.array([reference_value(inst, v) for v in stack])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))  # bit for bit
+    for k, v in enumerate(stack):
+        assert optimal_values(inst, stack[k : k + 1])[0] == got[k]
+        assert optimal_value(inst, v) == got[k]
+        if inst.m <= 8:
+            assert got[k] == pytest.approx(brute_force_opt(inst, ValuationProfile(inst, v)), abs=1e-9)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this path must not be taken")
+
+
+def test_column_maximum_shortcut_skips_the_solver(monkeypatch):
+    # a 0/1 favorite-bundle profile never gives an agent more than b_i
+    # column maxima, so no trial of it reaches a solver
+    rng = np.random.default_rng(76)
+    for quotas in [(3, 2, 1), (1, 1, 1, 1), (5,), (2, 2, 2, 2)]:
+        inst = Instance(quotas)
+        bundles = np.stack([draw_profile("bundle-hi-lo", inst, rng) for _ in range(50)])
+        stack = (bundles == 1.0).astype(np.float64)  # hi = 1, lo = 0
+        expected = np.array([reference_value(inst, v) for v in stack])
+        with monkeypatch.context() as patch:
+            patch.setattr(opt, "linear_sum_assignment", refuse)
+            patch.setattr(opt, "_solve_assignment", refuse)
+            assert np.array_equal(optimal_values(inst, stack), expected)
+
+
+def test_dense_trials_skip_the_filtering_solver(monkeypatch):
+    rng = np.random.default_rng(77)
+    for quotas in [(3, 2, 1), (1,) * 6, (4, 4)]:
+        inst = Instance(quotas)
+        stack = rng.random((40, inst.n, inst.m)) + 0.01
+        expected = np.array([reference_value(inst, v) for v in stack])
+        with monkeypatch.context() as patch:
+            patch.setattr(opt, "_solve_assignment", refuse)
+            assert np.array_equal(optimal_values(inst, stack), expected)
+
+
+def test_optimal_values_rejects_wrong_shape():
+    inst = Instance((2, 1))
+    with pytest.raises(ValueError):
+        optimal_values(inst, np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        optimal_values(inst, np.zeros((4, 3, 2)))
+    assert optimal_values(inst, np.zeros((0, 2, 3))).shape == (0,)

@@ -9,19 +9,20 @@ value matrices.  It works in three steps:
    assignment is optimal: sum_g max_i v[i, g] bounds every b-matching from
    above and this one reaches it.  Every favorite-bundle profile with lo = 0
    and most sparse 0/1 profiles stop here.
-2. The remaining trials, one at a time.  A dense trial (every value
-   positive) goes straight to the assignment routine on its slot-expanded
-   matrix, each agent i repeated b_i times.  Any other trial goes through
-   `_solve_assignment`, which drops all-zero rows and columns first; that
-   keeps sparse profiles cheap.
-3. One `math.fsum` per trial over the item -> value row.  Unassigned items
-   contribute an exact zero, so each value is bitwise the fsum of the chosen
-   entries.
+2. The remaining trials, one at a time: the assignment routine on the
+   slot-expanded matrix, each agent i repeated b_i times (the matrix itself
+   when every quota is 1).  Zero rows and columns are not dropped first;
+   they only add zero-value pairs, which leave the sum unchanged.
+3. One `math.fsum` per trial over the item -> value row.  Items that get no
+   positive value contribute an exact zero, so each value is bitwise the
+   fsum of the positive entries chosen.
 
 `optimal_value` is `optimal_values` on a batch of one, so the one-shot API
 and the engine run the same code.  `optimal_matching` also returns the
-matching, completed to exact quotas.  A tiny enumeration oracle is kept
-alongside for cross-validation and never shares code with the solver.
+matching, completed to exact quotas; it solves through `_solve_assignment`,
+which drops all-zero rows and columns first and leaves their items to the
+completion step.  A tiny enumeration oracle is kept alongside for
+cross-validation and never shares code with the solver.
 """
 
 from __future__ import annotations
@@ -72,18 +73,12 @@ def optimal_values(inst: Instance, values: np.ndarray) -> np.ndarray:
     loads = np.bincount(owner[picked > 0], minlength=batch * n).reshape(batch, n)
     hard = np.flatnonzero((loads > inst.quota_array).any(axis=1))
     if hard.size:
-        dense = values[hard].all(axis=(1, 2))
         slots = np.repeat(np.arange(n), inst.quotas)
         picked[hard] = 0.0
-        for k, is_dense in zip(hard.tolist(), dense.tolist()):
+        for k in hard.tolist():
             v = values[k]
-            if is_dense:
-                r_idx, c_idx = linear_sum_assignment(v if m == n else v[slots], maximize=True)
-                picked[k, c_idx] = v[slots[r_idx], c_idx]
-            else:
-                assignment = _solve_assignment(inst, v)
-                items = np.flatnonzero(assignment >= 0)
-                picked[k, items] = v[assignment[items], items]
+            r_idx, c_idx = linear_sum_assignment(v if m == n else v[slots], maximize=True)
+            picked[k, c_idx] = v[slots[r_idx], c_idx]
     return np.array([math.fsum(row) for row in picked.tolist()])
 
 

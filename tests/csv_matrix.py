@@ -1,0 +1,75 @@
+"""Fixed matrix of `ordmatch run` / `ordmatch probs` CSVs and its digest.
+
+    python3 tests/csv_matrix.py SRC_DIR OUT_DIR
+
+Imports `ordmatch` from SRC_DIR (the `src/` directory of a checkout), writes
+52 CSVs into OUT_DIR and prints the file count and the sha256 of the sorted
+per-file sha256 hex digests, one per line.  Two checkouts whose reports are
+byte-identical print the same digest.
+
+The matrix:
+- `run` with `flags.emit_probs`, 600 trials, seed 11: one config per
+  mechanism with `complete` false and true, over one-to-one n=20, (3,2,1),
+  (5,4,1) and `geometric-quotas(0.5)` n=4 m=9, times `iid-uniform01`,
+  `favorite-bundle-uniform(1,0)` and `iid-bernoulli(0.3)`; plus
+  `serial-dictator` with order [2, 0, 1] on the two 3-agent instances.
+- `probs`, 3000 trials, seed 5: each mechanism x instance x the first two
+  distributions.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+INSTANCES = [
+    {"quotas": [1] * 20},
+    {"quotas": [3, 2, 1]},
+    {"quotas": [5, 4, 1]},
+    {"n": 4, "m": 9, "generator": "geometric-quotas(0.5)"},
+]
+DISTRIBUTIONS = [
+    {"name": "iid-uniform01"},
+    {"name": "favorite-bundle-uniform", "hi": 1.0, "lo": 0.0},
+    {"name": "iid-bernoulli", "p": 0.3},
+]
+MECHANISMS = ["rs", "rsbs", "hql", "secretary-rs", "serial-dictator"]
+
+
+def configs():
+    """Yield (command, file stem, config) for every cell of the matrix."""
+    run = {"distributions": DISTRIBUTIONS, "trials": 600, "seed": 11, "flags": {"emit_probs": True}}
+    for mech in MECHANISMS:
+        mechs = [{"name": mech, "complete": c} for c in (False, True)]
+        yield "run", f"run-{mech}", dict(run, instances=INSTANCES, mechanisms=mechs)
+    ordered = [{"name": "serial-dictator", "order": [2, 0, 1], "complete": c} for c in (False, True)]
+    yield "run", "run-serial-order", dict(run, instances=INSTANCES[1:3], mechanisms=ordered)
+    for mech in MECHANISMS:
+        for k, inst in enumerate(INSTANCES):
+            for j, dist in enumerate(DISTRIBUTIONS[:2]):
+                cfg = {"instance": inst, "distribution": dist, "mechanism": {"name": mech}, "trials": 3000, "seed": 5}
+                yield "probs", f"probs-{mech}-{k}-{j}", cfg
+
+
+def main(src: str, out: Path) -> None:
+    sys.path.insert(0, src)
+    from ordmatch.cli import main as ordmatch_main
+
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    for command, stem, cfg in configs():
+        path = out / f"{stem}.json"
+        path.write_text(json.dumps(dict(cfg, output=str(out / f"{stem}.csv"))))
+        if ordmatch_main([command, str(path)]) != 0:
+            raise SystemExit(f"ordmatch {command} failed on {path}")
+        files.append(out / f"{stem}.csv")
+        if command == "run":
+            files.append(out / f"{stem}.csv.probs.csv")
+    digests = sorted(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+    print(len(files), "files", hashlib.sha256("\n".join(digests).encode() + b"\n").hexdigest())
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        raise SystemExit(__doc__)
+    main(sys.argv[1], Path(sys.argv[2]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ordmatch import (
     Instance,
@@ -222,15 +223,26 @@ def test_column_maximum_shortcut_skips_the_solver(monkeypatch):
             assert np.array_equal(optimal_values(inst, stack), expected)
 
 
-def test_dense_trials_skip_the_filtering_solver(monkeypatch):
+def test_solver_trials_skip_the_filtering_solver(monkeypatch):
+    # dense and sparse trials the shortcut cannot settle both go straight to
+    # the assignment routine on the slot-expanded matrix
     rng = np.random.default_rng(77)
     for quotas in [(3, 2, 1), (1,) * 6, (4, 4)]:
         inst = Instance(quotas)
-        stack = rng.random((40, inst.n, inst.m)) + 0.01
-        expected = np.array([reference_value(inst, v) for v in stack])
-        with monkeypatch.context() as patch:
-            patch.setattr(opt, "_solve_assignment", refuse)
-            assert np.array_equal(optimal_values(inst, stack), expected)
+        shape = (40, inst.n, inst.m)
+        for stack in [rng.random(shape) + 0.01, (rng.random(shape) < 0.3) * rng.random(shape)]:
+            expected = np.array([reference_value(inst, v) for v in stack])
+            solves = []
+
+            def counting_lsap(*args, **kwargs):
+                solves.append(1)
+                return linear_sum_assignment(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(opt, "_solve_assignment", refuse)
+                patch.setattr(opt, "linear_sum_assignment", counting_lsap)
+                assert np.array_equal(optimal_values(inst, stack).view(np.int64), expected.view(np.int64))
+            assert solves
 
 
 def test_optimal_values_rejects_wrong_shape():

@@ -78,10 +78,14 @@ def _as_bool(value, where: str) -> bool:
 
 def _geometric_quotas(n: int, m: int, ratio: float) -> tuple[int, ...]:
     """Largest-remainder rounding of weights ratio**i to a positive integer
-    vector summing to m."""
+    vector summing to m.  Raises OverflowError when the shares leave the
+    float range."""
     weights = np.array([ratio**i for i in range(n)], dtype=np.float64)
     spare = m - n
-    shares = spare * weights / weights.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        shares = spare * weights / weights.sum()
+    if not np.isfinite(shares).all():
+        raise OverflowError("geometric shares are not finite")
     base = np.floor(shares).astype(np.int64)
     leftover = spare - int(base.sum())
     order = np.argsort(-(shares - base), kind="stable")
@@ -119,43 +123,44 @@ def _parse_instance(cfg, where: str) -> Instance:
             ratio = float(gen[len("geometric-quotas(") : -1])
         except ValueError:
             raise ConfigError(f"{where}.generator: bad ratio in {gen!r}") from None
-        if not ratio > 0:
-            raise ConfigError(f"{where}.generator: ratio must be positive")
-        return Instance(_geometric_quotas(n, m, ratio))
+        if not (ratio > 0 and np.isfinite(ratio)):
+            raise ConfigError(f"{where}.generator: ratio must be positive and finite")
+        try:
+            return Instance(_geometric_quotas(n, m, ratio))
+        except OverflowError:
+            raise ConfigError(f"{where}.generator: ratio {ratio!r} overflows at n={n}") from None
     raise ConfigError(f"{where}.generator: unknown generator {gen!r}")
+
+
+def _as_number_list(value, where: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list")
+    return [_as_number(x, f"{where}[{k}]") for k, x in enumerate(value)]
+
+
+# the JSON type of each DistributionSpec field (the spec decides which kind takes which)
+_FIELD_TYPES = {
+    "p": _as_number,
+    "hi": _as_number,
+    "lo": _as_number,
+    "agent": lambda value, where: _as_int(value, where, minimum=0),
+    "with_replacement": _as_bool,
+    "base": _as_number_list,
+}
 
 
 def _parse_distribution(cfg, where: str) -> DistributionSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected an object")
     name = _require(cfg, "name", where)
+    unknown = sorted(cfg.keys() - _FIELD_TYPES.keys() - {"name"})
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
+    fields = {key: parse(cfg[key], f"{where}.{key}") for key, parse in _FIELD_TYPES.items() if key in cfg}
     try:
-        if name == "iid-uniform01":
-            return DistributionSpec.iid_uniform01()
-        if name == "iid-bernoulli":
-            return DistributionSpec.iid_bernoulli(_as_number(_require(cfg, "p", where), f"{where}.p"))
-        if name == "lower-bound-bernoulli":
-            return DistributionSpec.lower_bound_bernoulli()
-        if name == "single-agent-adversarial":
-            return DistributionSpec.single_agent_adversarial(
-                _as_int(_require(cfg, "agent", where), f"{where}.agent", minimum=0),
-                with_replacement=_as_bool(cfg.get("with_replacement", True), f"{where}.with_replacement"),
-            )
-        if name == "exchangeable-permutation":
-            base = _require(cfg, "base", where)
-            if not isinstance(base, list):
-                raise ConfigError(f"{where}.base: expected a list")
-            return DistributionSpec.exchangeable_permutation(
-                [_as_number(x, f"{where}.base[{k}]") for k, x in enumerate(base)]
-            )
-        if name == "favorite-bundle-uniform":
-            return DistributionSpec.favorite_bundle_uniform(
-                _as_number(_require(cfg, "hi", where), f"{where}.hi"),
-                _as_number(_require(cfg, "lo", where), f"{where}.lo"),
-            )
+        return DistributionSpec(name, **fields)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
-    raise ConfigError(f"{where}.name: unknown distribution {name!r}")
 
 
 def _parse_mechanism(cfg, where: str, default_complete: bool) -> MechanismSpec:

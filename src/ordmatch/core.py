@@ -216,19 +216,27 @@ def derive_preferences(profile: ValuationProfile, rng: RngLike) -> PreferencePro
     return PreferenceProfile(inst, rankings_from_tags(profile.values, tags))
 
 
-def social_welfare(matching: Matching, profile: ValuationProfile) -> float:
-    """Total value agents place on the items they hold.
+def welfare(values: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Total value agents place on the items they hold: one exactly rounded
+    math.fsum per trial, so sweeps and Monte Carlo aggregates do not drift.
 
-    Summed with math.fsum so large sweeps and Monte Carlo aggregates do not
-    accumulate rounding drift.
-    """
+    `values` has shape (..., n, m) and the item -> agent `assignment` shape
+    (..., m); an UNASSIGNED item adds nothing.  Returns the leading shape."""
+    held = np.take_along_axis(values, np.maximum(assignment, 0)[..., None, :], axis=-2)[..., 0, :]
+    held = np.where(assignment >= 0, held, 0.0)
+    sums = [math.fsum(row) for row in held.reshape(-1, held.shape[-1]).tolist()]
+    return np.array(sums, dtype=np.float64).reshape(held.shape[:-1])
+
+
+def social_welfare(matching: Matching, profile: ValuationProfile) -> float:
+    """Total value agents place on the items they hold (see `welfare`)."""
     a = matching.assignment
     v = profile.values
     if a.shape[0] != v.shape[1]:
         raise ValueError("matching length does not match the value matrix")
     if a.size and a.max() >= v.shape[0]:
         raise ValueError("matching references an unknown agent")
-    return math.fsum(float(v[i, g]) for g, i in enumerate(a) if i >= 0)
+    return float(welfare(v, a))
 
 
 def complete_assignment(assignment: np.ndarray, inst: Instance) -> np.ndarray:

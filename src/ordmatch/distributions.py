@@ -19,7 +19,7 @@ from (spec, instance, seed, stream-id) alone:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -27,14 +27,18 @@ from scipy.stats import chi2
 
 from .core import Instance, RngLike, ValuationProfile, as_generator, rankings_from_tags
 
-KINDS = (
-    "iid-uniform01",
-    "iid-bernoulli",
-    "lower-bound-bernoulli",
-    "single-agent-adversarial",
-    "exchangeable-permutation",
-    "favorite-bundle-uniform",
-)
+# The spec fields each kind takes, with the default of an optional field
+# (None marks a required one).  A field outside its kind's entry must stay None.
+_FIELDS: dict[str, dict[str, object]] = {
+    "iid-uniform01": {},
+    "iid-bernoulli": {"p": None},
+    "lower-bound-bernoulli": {},
+    "single-agent-adversarial": {"agent": None, "with_replacement": True},
+    "exchangeable-permutation": {"base": None},
+    "favorite-bundle-uniform": {"hi": None, "lo": None},
+}
+
+KINDS = tuple(_FIELDS)
 
 UF_AUDIT_MAX_ITEMS = 12
 
@@ -47,31 +51,32 @@ class DistributionSpec:
     base: tuple[float, ...] | None = None
     hi: float | None = None
     lo: float | None = None
-    with_replacement: bool = True
+    with_replacement: bool | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "iid-bernoulli":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError("iid-bernoulli needs a success probability p in [0, 1]")
-        if self.kind == "single-agent-adversarial":
-            if self.agent is None or self.agent < 0:
-                raise ValueError("single-agent-adversarial needs a nonnegative agent index")
-        if self.kind == "exchangeable-permutation":
-            if self.base is None or len(self.base) == 0:
-                raise ValueError("exchangeable-permutation needs a base value vector")
+        takes = _FIELDS[self.kind]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in takes:
+                if value is not None:
+                    raise ValueError(f"{self.kind} does not take {f.name}")
+            elif value is None:
+                if takes[f.name] is None:
+                    raise ValueError(f"{self.kind} needs {f.name}")
+                object.__setattr__(self, f.name, takes[f.name])
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ValueError("p must be a probability in [0, 1]")
+        if self.agent is not None and self.agent < 0:
+            raise ValueError("agent must be a nonnegative index")
+        if self.base is not None:
             b = tuple(float(x) for x in self.base)
-            if any(not math.isfinite(x) or x < 0 for x in b):
-                raise ValueError("base values must be finite and nonnegative")
+            if not b or any(not math.isfinite(x) or x < 0 for x in b):
+                raise ValueError("base must be a nonempty vector of finite nonnegative values")
             object.__setattr__(self, "base", b)
-        if self.kind == "favorite-bundle-uniform":
-            if self.hi is None or self.lo is None:
-                raise ValueError("favorite-bundle-uniform needs hi and lo values")
-            if not (math.isfinite(self.hi) and math.isfinite(self.lo)):
-                raise ValueError("hi and lo must be finite")
-            if not self.hi > self.lo >= 0.0:
-                raise ValueError("favorite-bundle-uniform requires hi > lo >= 0")
+        if self.hi is not None and not (math.isfinite(self.hi) and self.hi > self.lo >= 0.0):
+            raise ValueError("favorite-bundle-uniform requires finite hi > lo >= 0")
 
     # -- constructors -------------------------------------------------------
 

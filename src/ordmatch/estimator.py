@@ -30,6 +30,7 @@ from .core import (
     favorite_mask,
     rankings_from_tags,
     social_welfare,
+    welfare,
 )
 from .distributions import DistributionSpec
 from .mechanisms import MechanismSpec
@@ -208,11 +209,7 @@ def _distortion_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     values, _, assignment = _chunk_arrays(mech, dist, inst, params, seed, t0, t1)
     if mech.complete:
         assignment = complete_assignment(assignment, inst)
-    batch, m = assignment.shape
-    agents = np.where(assignment >= 0, assignment, 0)
-    picked = values[np.arange(batch)[:, None], agents, np.arange(m)[None, :]]
-    picked = np.where(assignment >= 0, picked, 0.0)
-    sw = np.array([math.fsum(row) for row in picked.tolist()])
+    sw = welfare(values, assignment)
     opt_vals = opt.optimal_values(inst, values)
     worst = np.flatnonzero(sw > opt_vals)
     if worst.size:

@@ -3,7 +3,7 @@
     python3 tests/csv_matrix.py SRC_DIR OUT_DIR
 
 Imports `ordmatch` from SRC_DIR (the `src/` directory of a checkout), writes
-52 CSVs into OUT_DIR and prints the file count and the sha256 of the sorted
+60 CSVs into OUT_DIR and prints the file count and the sha256 of the sorted
 per-file sha256 hex digests, one per line.  Two checkouts whose reports are
 byte-identical print the same digest.
 
@@ -13,6 +13,11 @@ The matrix:
   (5,4,1) and `geometric-quotas(0.5)` n=4 m=9, times `iid-uniform01`,
   `favorite-bundle-uniform(1,0)` and `iid-bernoulli(0.3)`; plus
   `serial-dictator` with order [2, 0, 1] on the two 3-agent instances.
+- `run` with `flags.emit_probs`, 600 trials, seed 11: one config per
+  instance, every mechanism with `complete` false and true, times the other
+  three distribution kinds: `lower-bound-bernoulli`,
+  `single-agent-adversarial` for agent 0 with and without replacement, and
+  `exchangeable-permutation` over a base of m entries in {0, 0.5, 1} (ties).
 - `probs`, 3000 trials, seed 5: each mechanism x instance x the first two
   distributions.
 """
@@ -34,6 +39,17 @@ DISTRIBUTIONS = [
     {"name": "iid-bernoulli", "p": 0.3},
 ]
 MECHANISMS = ["rs", "rsbs", "hql", "secretary-rs", "serial-dictator"]
+ITEM_COUNTS = [20, 6, 10, 9]  # m of each instance
+
+
+def other_distributions(m):
+    """The three kinds DISTRIBUTIONS leaves out, four configs on m items."""
+    return [
+        {"name": "lower-bound-bernoulli"},
+        {"name": "single-agent-adversarial", "agent": 0},
+        {"name": "single-agent-adversarial", "agent": 0, "with_replacement": False},
+        {"name": "exchangeable-permutation", "base": [(g % 3) / 2 for g in range(m)]},
+    ]
 
 
 def configs():
@@ -44,6 +60,10 @@ def configs():
         yield "run", f"run-{mech}", dict(run, instances=INSTANCES, mechanisms=mechs)
     ordered = [{"name": "serial-dictator", "order": [2, 0, 1], "complete": c} for c in (False, True)]
     yield "run", "run-serial-order", dict(run, instances=INSTANCES[1:3], mechanisms=ordered)
+    every = [{"name": mech, "complete": c} for mech in MECHANISMS for c in (False, True)]
+    for k, (inst, m) in enumerate(zip(INSTANCES, ITEM_COUNTS)):
+        cfg = dict(run, instance=inst, mechanisms=every, distributions=other_distributions(m))
+        yield "run", f"run-other-kinds-{k}", cfg
     for mech in MECHANISMS:
         for k, inst in enumerate(INSTANCES):
             for j, dist in enumerate(DISTRIBUTIONS[:2]):

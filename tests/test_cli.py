@@ -202,6 +202,41 @@ class TestRun:
                 "distribution.base[1]",
                 id="base-string",
             ),
+            pytest.param(
+                {"instance": {"n": 4, "m": 9, "generator": "geometric-quotas(inf)"}},
+                "instance.generator",
+                id="geometric-ratio-inf",
+            ),
+            pytest.param(
+                {"instance": {"n": 4, "m": 9, "generator": "geometric-quotas(1e200)"}},
+                "instance.generator",
+                id="geometric-ratio-overflow",
+            ),
+            pytest.param(
+                {"distribution": {"name": "iid-uniform01", "p": 0.3}},
+                "distribution",  # the message is "iid-uniform01 does not take p"
+                id="field-not-taken",
+            ),
+            pytest.param(
+                {"distribution": {"name": "favorite-bundle-uniform", "hi": 1.0, "lo": 0.0, "with_replacement": True}},
+                "distribution",
+                id="with-replacement-not-taken",
+            ),
+            pytest.param(
+                {"distribution": {"name": "iid-uniform01", "p": 0.3, "hi": "x"}},
+                "distribution.hi",
+                id="field-not-taken-string",
+            ),
+            pytest.param(
+                {"distribution": {"name": "iid-uniform01", "colour": "red"}},
+                "distribution.colour",
+                id="unknown-field",
+            ),
+            pytest.param(
+                {"distribution": {"name": "iid-bernoulli"}},
+                "distribution",
+                id="p-missing",
+            ),
         ],
     )
     def test_field_precise_error(self, tmp_path, capsys, override, field):

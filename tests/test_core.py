@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from ordmatch import (
@@ -15,7 +17,7 @@ from ordmatch import (
     derive_preferences,
     social_welfare,
 )
-from ordmatch.core import rankings_from_tags
+from ordmatch.core import rankings_from_tags, welfare
 from ordmatch.distributions import DistributionSpec, sample_profile
 from ordmatch.opt import optimal_matching
 
@@ -181,6 +183,36 @@ class TestSocialWelfare:
         profile = ValuationProfile(inst, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             social_welfare(Matching(np.array([5, UNASSIGNED])), profile)
+
+
+# magnitudes whose left-to-right float sum drops the small terms
+# (1e16 + 1.0 + 1.0 rounds to 1e16; fsum gives 1e16 + 2)
+WELFARE_PALETTE = np.array([0.0, 1.0, 0.1, 0.7, 1e-16, 1e16, 3e16])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 8),
+    lead=st.lists(st.integers(0, 3), max_size=2).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_welfare_matches_fsum_loop(n, m, lead, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.choice(WELFARE_PALETTE, (*lead, n, m))
+    assignment = rng.integers(UNASSIGNED, n, (*lead, m))
+    got = welfare(values, assignment)
+    assert got.shape == lead and got.dtype == np.float64
+    for idx in np.ndindex(lead):
+        v, a = values[idx].tolist(), assignment[idx].tolist()
+        expected = math.fsum(v[a[g]][g] for g in range(m) if a[g] >= 0)
+        assert np.float64(got[idx]).view(np.int64) == np.float64(expected).view(np.int64)
+
+
+def test_welfare_is_not_a_plain_sum():
+    values = np.array([[1e16, 1.0, 1.0], [5.0, 5.0, 5.0]])
+    assert welfare(values, np.array([0, 0, 0])) == 1e16 + 2.0
+    assert welfare(values, np.array([UNASSIGNED, 1, UNASSIGNED])) == 5.0
 
 
 class TestCompleteMatching:

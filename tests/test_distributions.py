@@ -41,6 +41,32 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DistributionSpec("no-such-kind")
 
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("iid-uniform01", {"p": 0.3}, "iid-uniform01 does not take p"),
+            ("iid-bernoulli", {"p": 0.3, "hi": 1.0}, "iid-bernoulli does not take hi"),
+            ("lower-bound-bernoulli", {"agent": 0}, "lower-bound-bernoulli does not take agent"),
+            (
+                "favorite-bundle-uniform",
+                {"hi": 1.0, "lo": 0.0, "with_replacement": True},
+                "favorite-bundle-uniform does not take with_replacement",
+            ),
+            ("exchangeable-permutation", {"base": (1.0,), "lo": 0.0}, "exchangeable-permutation does not take lo"),
+            ("iid-bernoulli", {}, "iid-bernoulli needs p"),
+            ("single-agent-adversarial", {"with_replacement": False}, "single-agent-adversarial needs agent"),
+            ("favorite-bundle-uniform", {"hi": 1.0}, "favorite-bundle-uniform needs lo"),
+        ],
+    )
+    def test_fields_follow_the_kind(self, kind, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DistributionSpec(kind, **fields)
+
+    def test_optional_field_takes_its_default(self):
+        assert DistributionSpec("single-agent-adversarial", agent=0) == DistributionSpec.single_agent_adversarial(0)
+        assert DistributionSpec.single_agent_adversarial(0).with_replacement is True
+        assert DistributionSpec.iid_uniform01().with_replacement is None
+
     def test_rejects_mismatched_instance(self):
         inst = Instance((1, 1))
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ from ordmatch.mechanisms import (
     survivor_probs,
 )
 
+from conftest import favorite_masks
+
 QUOTAS = st.lists(st.integers(1, 4), min_size=1, max_size=6)
 LEAD = st.lists(st.integers(1, 3), max_size=2).map(tuple)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -47,15 +49,6 @@ def reference_complete(assignment, quotas):
             out[g] = low
             residual[low] -= 1
     return out
-
-
-def favorite_masks(inst, lead, rng):
-    """Each agent's favorites: a uniformly random b_i-subset per trial."""
-    ranks = np.argsort(rng.random((*lead, inst.n, inst.m)), axis=-1)
-    mask = np.zeros((*lead, inst.n, inst.m), dtype=bool)
-    for i, b in enumerate(inst.quotas):
-        np.put_along_axis(mask[..., i, :], ranks[..., i, :b], True, axis=-1)
-    return mask
 
 
 def check_completion(assignment, inst):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ordmatch import (
+    UNASSIGNED,
     Instance,
     RandomStream,
     ValuationProfile,
@@ -17,7 +18,6 @@ from ordmatch.mechanisms import MechanismSpec, run_mechanism
 from ordmatch.core import derive_preferences
 from ordmatch import opt
 from ordmatch.opt import (
-    _solve_assignment,
     brute_force_opt,
     optimal_matching,
     optimal_value,
@@ -153,6 +153,23 @@ def test_rejects_profile_from_other_instance():
 PROFILE_KINDS = ("uniform", "bernoulli-0.3", "bernoulli-1/n^2", "bundle-hi-lo", "integer-ties", "zero")
 
 
+def _solve_assignment(inst: Instance, values: np.ndarray) -> np.ndarray:
+    """Return an item -> agent vector of maximum total value (items with no
+    positive column are left unassigned here; callers fill them)."""
+    n, m = inst.n, inst.m
+    assignment = np.full(m, UNASSIGNED, dtype=np.int64)
+    rows = np.flatnonzero(values.any(axis=1))
+    cols = np.flatnonzero(values.any(axis=0))
+    if rows.size == 0:
+        return assignment
+    # expand agent i into min(b_i, #columns) slots; extra slots can never help
+    slot_owner = np.repeat(rows, np.minimum(inst.quota_array[rows], cols.size))
+    weights = values[np.ix_(slot_owner, cols)]
+    r_idx, c_idx = linear_sum_assignment(weights, maximize=True)
+    assignment[cols[c_idx]] = slot_owner[r_idx]
+    return assignment
+
+
 def reference_value(inst, values):
     """Per-trial oracle: zero rows and columns dropped, one assignment solve,
     fsum of the chosen entries."""
@@ -200,6 +217,9 @@ def test_optimal_values_match_per_trial_oracle(quotas, kinds, seed):
     for k, v in enumerate(stack):
         assert optimal_values(inst, stack[k : k + 1])[0] == got[k]
         assert optimal_value(inst, v) == got[k]
+        result = optimal_matching(inst, ValuationProfile(inst, v))
+        assert result.value == got[k]
+        assert np.array_equal(np.bincount(result.matching.assignment, minlength=inst.n), inst.quota_array)
         if inst.m <= 8:
             assert got[k] == pytest.approx(brute_force_opt(inst, ValuationProfile(inst, v)), abs=1e-9)
 
@@ -219,7 +239,6 @@ def test_column_maximum_shortcut_skips_the_solver(monkeypatch):
         expected = np.array([reference_value(inst, v) for v in stack])
         with monkeypatch.context() as patch:
             patch.setattr(opt, "linear_sum_assignment", refuse)
-            patch.setattr(opt, "_solve_assignment", refuse)
             assert np.array_equal(optimal_values(inst, stack), expected)
 
 
@@ -239,7 +258,6 @@ def test_solver_trials_skip_the_filtering_solver(monkeypatch):
                 return linear_sum_assignment(*args, **kwargs)
 
             with monkeypatch.context() as patch:
-                patch.setattr(opt, "_solve_assignment", refuse)
                 patch.setattr(opt, "linear_sum_assignment", counting_lsap)
                 assert np.array_equal(optimal_values(inst, stack).view(np.int64), expected.view(np.int64))
             assert solves

@@ -78,13 +78,15 @@ def _as_bool(value, where: str) -> bool:
 
 def _geometric_quotas(n: int, m: int, ratio: float) -> tuple[int, ...]:
     """Largest-remainder rounding of weights ratio**i to a positive integer
-    vector summing to m.  Raises OverflowError when the shares leave the
-    float range."""
+    vector summing to m.  Raises OverflowError when the shares, or with
+    spare items the weight sum, leave the float range."""
     weights = np.array([ratio**i for i in range(n)], dtype=np.float64)
     spare = m - n
     with np.errstate(over="ignore", invalid="ignore"):
-        shares = spare * weights / weights.sum()
-    if not np.isfinite(shares).all():
+        total = weights.sum()
+        shares = spare * weights / total
+    # an infinite weight sum turns every share into 0 and hands the spare items out by index
+    if not np.isfinite(shares).all() or (spare > 0 and not np.isfinite(total)):
         raise OverflowError("geometric shares are not finite")
     base = np.floor(shares).astype(np.int64)
     leftover = spare - int(base.sum())

@@ -7,9 +7,14 @@ RandomStream(seed, t).  Per-trial results are reduced in ascending trial
 order with exact (fsum) summation, so reports are bitwise identical no matter
 how trials are chunked or how many worker processes run them.
 
-Trials are executed in vectorized batches; `_reference_*` helpers recompute
-the same trials one at a time through the public single-run API and are used
-by the test suite to pin the two paths together.
+Trials are executed in vectorized chunks sized from a fixed byte budget
+(CHUNK_BYTES over a per-trial working-set estimate), so the estimated working
+set of a chunk of more than one trial stays within that budget whatever the
+instance; an instance whose single trial would exceed MAX_TRIAL_BYTES is
+refused with a ValueError before anything is allocated.
+`_reference_*` helpers recompute the same trials one at a time through the
+public single-run API and are used by the test suite to pin the two paths
+together.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ from .distributions import DistributionSpec
 from .mechanisms import MechanismSpec
 
 WILSON_Z = 3.0
+
+# chunk sizing, see _batch_size
+CHUNK_BYTES = 8 * 2**20
+MAX_BATCH = 8192
+MAX_TRIAL_BYTES = 2**30
 
 
 # --- reports -----------------------------------------------------------------
@@ -132,9 +142,27 @@ def _resolve_workers(workers: int | None) -> int:
     return w if w > 0 else (os.cpu_count() or 1)
 
 
+def _trial_bytes(inst: Instance) -> int:
+    """Working-set estimate of one trial in a chunk, from the instance alone:
+    the uniform block (every layout draws at most nm sample, nm tag and
+    2n + m + 1 mechanism uniforms) plus four (n, m) arrays at 8 bytes a cell:
+    values, int64 rankings, the rs cumsum, and the favorite mask together
+    with the kernels' boolean temporaries."""
+    n, m = inst.n, inst.m
+    return 8 * (2 * n * m + 2 * n + m + 1 + 4 * n * m)
+
+
 def _batch_size(inst: Instance) -> int:
-    cells = inst.n * inst.m
-    return int(max(64, min(8192, 2_000_000 // max(cells, 1))))
+    """Trials per chunk: as many as CHUNK_BYTES holds, clamped to
+    [1, MAX_BATCH].  Raises ValueError, before anything is allocated, when
+    one trial alone would exceed MAX_TRIAL_BYTES."""
+    per_trial = _trial_bytes(inst)
+    if per_trial > MAX_TRIAL_BYTES:
+        raise ValueError(
+            f"one trial at n={inst.n}, m={inst.m} needs about {per_trial} bytes, "
+            f"over the {MAX_TRIAL_BYTES}-byte limit"
+        )
+    return max(1, min(MAX_BATCH, CHUNK_BYTES // per_trial))
 
 
 def _trial_layout(mech: MechanismSpec, dist: DistributionSpec, inst: Instance) -> tuple[int, int, int]:
@@ -251,6 +279,13 @@ def _validated(mech: MechanismSpec, dist: DistributionSpec, inst: Instance, tria
     return mechanisms.mechanism_params(mech, inst)
 
 
+def _jobs(mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int) -> list:
+    """One chunk job per batch of trials; an oversized trial is refused first."""
+    batch = _batch_size(inst)
+    params = _validated(mech, dist, inst, trials)
+    return [(mech, dist, inst, params, seed, t0, t1) for t0, t1 in _plan(trials, batch)]
+
+
 def _collect_distortion(
     mech: MechanismSpec,
     dist: DistributionSpec,
@@ -259,9 +294,7 @@ def _collect_distortion(
     seed: int,
     workers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    params = _validated(mech, dist, inst, trials)
-    jobs = [(mech, dist, inst, params, seed, t0, t1) for t0, t1 in _plan(trials, _batch_size(inst))]
-    parts = _map_chunks(_distortion_chunk, jobs, workers)
+    parts = _map_chunks(_distortion_chunk, _jobs(mech, dist, inst, trials, seed), workers)
     sw = np.concatenate([p[0] for p in parts])
     opt_vals = np.concatenate([p[1] for p in parts])
     return sw, opt_vals
@@ -275,9 +308,7 @@ def _collect_probs(
     seed: int,
     workers: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    params = _validated(mech, dist, inst, trials)
-    jobs = [(mech, dist, inst, params, seed, t0, t1) for t0, t1 in _plan(trials, _batch_size(inst))]
-    parts = _map_chunks(_probs_chunk, jobs, workers)
+    parts = _map_chunks(_probs_chunk, _jobs(mech, dist, inst, trials, seed), workers)
     hits = [np.zeros(b, dtype=np.int64) for b in inst.quotas]
     count_sq = np.zeros(inst.n, dtype=np.int64)
     for part_hits, part_sq in parts:

@@ -156,7 +156,8 @@ def rs_assign(p_survive: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.
     count = demand.sum(axis=-2)
     pick = (u[..., n : n + m] * count).astype(np.int64) + 1  # 1-based rank among demanders
     csum = np.cumsum(demand, axis=-2)
-    winner = np.argmax((csum == pick[..., None, :]) & demand, axis=-2)
+    # csum steps by 1 at each demander, so its first index equal to pick >= 1 is one
+    winner = np.argmax(csum == pick[..., None, :], axis=-2)
     return np.where(count > 0, winner, UNASSIGNED).astype(np.int64)
 
 

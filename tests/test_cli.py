@@ -213,6 +213,11 @@ class TestRun:
                 id="geometric-ratio-overflow",
             ),
             pytest.param(
+                {"instance": {"n": 1024, "m": 1025, "generator": "geometric-quotas(2.0)"}},
+                "instance.generator",  # the weight sum 2**1024 - 1 overflows while every weight is finite
+                id="geometric-weight-sum-overflow",
+            ),
+            pytest.param(
                 {"distribution": {"name": "iid-uniform01", "p": 0.3}},
                 "distribution",  # the message is "iid-uniform01 does not take p"
                 id="field-not-taken",
@@ -252,6 +257,25 @@ class TestRun:
         )
         assert main(["run", cfg]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_geometric_quotas_without_spare_items_are_ones(self):
+        # the weight sum overflows here too, but with m == n there is nothing to share out
+        assert cli._geometric_quotas(1024, 1024, 2.0) == (1,) * 1024
+
+    def test_oversized_trial_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                **BASE_RUN,
+                "instance": {"n": 20_000, "m": 20_000, "generator": "uniform-quotas"},
+                "trials": 1,
+                "output": str(tmp_path / "out.csv"),
+            },
+        )
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: one trial at n=20000, m=20000 needs about 19200480008 bytes")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_unknown_names_exit_2(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ordmatch import (
     run_lb_secretary,
     run_lb_theorem1,
 )
-from ordmatch import estimator
+from ordmatch import estimator, mechanisms
 from ordmatch.distributions import DistributionSpec
 from ordmatch.mechanisms import MechanismSpec
 
@@ -126,9 +127,69 @@ class TestBatchMatchesReference:
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
         inst = Instance((2, 2, 1))
         baseline = estimate_distortion(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
-        monkeypatch.setattr(estimator, "_batch_size", lambda inst: 97)
-        chunked = estimate_distortion(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
-        assert baseline == chunked
+        base_probs = estimate_assignment_probs(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
+        for batch in (1, 97, 5_000):  # one trial per chunk, many chunks, one chunk
+            monkeypatch.setattr(estimator, "_batch_size", lambda inst: batch)
+            chunked = estimate_distortion(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
+            assert baseline == chunked
+            probs = estimate_assignment_probs(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
+            assert_same_probs(base_probs, probs)
+
+    def test_workers_over_many_chunks_do_not_change_bits(self, monkeypatch):
+        inst = Instance((3, 1, 1))
+        mech = MechanismSpec.rs()
+        baseline = estimate_distortion(mech, UNIFORM, inst, 300, 54)
+        base_probs = estimate_assignment_probs(mech, UNIFORM, inst, 300, 54)
+        monkeypatch.setattr(estimator, "_batch_size", lambda inst: 7)
+        assert estimate_distortion(mech, UNIFORM, inst, 300, 54, workers=2) == baseline
+        assert_same_probs(base_probs, estimate_assignment_probs(mech, UNIFORM, inst, 300, 54, workers=2))
+
+
+def assert_same_probs(a, b):
+    assert (a.trials, a.seed, a.count_sumsq) == (b.trials, b.seed, b.count_sumsq)
+    for field in ("q_hat", "half_width", "hits"):
+        for x, y in zip(getattr(a, field), getattr(b, field)):
+            assert np.array_equal(x, y), field
+
+
+class TestChunkBudget:
+    INSTANCES = [(1,) * 20, (1,) * 50, (5, 4, 3, 2, 1), (2, 2, 1), (1,), (7, 1), (1,) * 1000, (60,) * 40]
+
+    def test_batches_fit_the_budget(self):
+        tracemalloc.start()
+        try:
+            for quotas in self.INSTANCES:
+                inst = Instance(quotas)
+                batch = estimator._batch_size(inst)
+                assert 1 <= batch <= estimator.MAX_BATCH
+                assert batch == 1 or batch * estimator._trial_bytes(inst) <= estimator.CHUNK_BYTES
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # sizing is arithmetic; no chunk array is built
+        assert estimator._batch_size(Instance.one_to_one(1000)) == 1
+
+    def test_budget_covers_every_layout(self):
+        # the estimate's uniform block bounds the engine's actual draw count
+        inst = Instance((3, 2, 1))
+        bound = 2 * inst.n * inst.m + 2 * inst.n + inst.m + 1
+        dists = (UNIFORM, DistributionSpec.single_agent_adversarial(0), DistributionSpec.lower_bound_bernoulli())
+        for kind in mechanisms.KINDS:
+            for dist in dists:
+                assert sum(estimator._trial_layout(MechanismSpec(kind), dist, inst)) <= bound
+
+    def test_oversized_trial_refused_before_allocation(self):
+        inst = Instance.one_to_one(20_000)  # about 19 GB for a single trial
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n=20000, m=20000 needs about 19200480008 bytes"):
+                estimate_distortion(MechanismSpec.rs(), UNIFORM, inst, 1, 0)
+            with pytest.raises(ValueError, match=r"n=20000, m=20000"):
+                estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAssignmentProbReports:

@@ -129,10 +129,6 @@ class PreferenceProfile:
         r.setflags(write=False)
         object.__setattr__(self, "rankings", r)
 
-    def favorite_mask(self) -> np.ndarray:
-        """Boolean (n, m) matrix: mask[i, g] iff item g is a favorite of i."""
-        return favorite_mask(self.rankings, self.instance.quotas)
-
 
 @dataclass(frozen=True, eq=False)
 class Matching:
@@ -188,21 +184,59 @@ def rankings_from_tags(values: np.ndarray, tags: np.ndarray) -> np.ndarray:
     return idx.reshape(v.shape).astype(np.int64)
 
 
-def favorite_mask(rankings: np.ndarray, quotas: tuple[int, ...]) -> np.ndarray:
-    """Boolean (..., n, m) mask of each agent's top-b_i items.
+def top_items(values: np.ndarray, tags: np.ndarray, depth: int) -> np.ndarray:
+    """The first `depth` columns of rankings_from_tags(values, tags), exactly,
+    with the value-tie handling paid only by rows that have value ties.
+
+    Depth 1 is one max/where/argmin pass.  Deeper tables sort each row by
+    value alone and keep the first `depth` items; a row whose first
+    depth + 1 sorted values hold a tie (its order or its cut would depend on
+    the tags) is ranked by the lexsort instead.  A batch whose first row ties
+    is taken to be discrete-valued (0/1 or all-equal rows, where nearly every
+    row ties) and goes to the lexsort whole.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    t = np.asarray(tags, dtype=np.float64)
+    if v.shape != t.shape:
+        raise ValueError("values and tags must have matching shapes")
+    m = v.shape[-1]
+    if not 1 <= depth <= m:
+        raise ValueError(f"depth must lie in [1, {m}], got {depth}")
+    if depth == 1:
+        row_max = v.max(axis=-1, keepdims=True)
+        tagged = np.where(v == row_max, t, np.inf)
+        return np.argmin(tagged, axis=-1, keepdims=True).astype(np.int64)
+    flat_v = v.reshape(-1, m)
+    flat_t = t.reshape(-1, m)
+
+    def ties(descending: np.ndarray) -> np.ndarray:
+        return (np.diff(descending[:, : depth + 1], axis=-1) == 0.0).any(axis=-1)
+
+    if depth < m and not ties(np.sort(flat_v[:1], axis=-1)[:, ::-1]).any():
+        order = np.argsort(flat_v, axis=-1)[:, ::-1]  # by decreasing value, ties in any order
+        top = order[:, :depth]
+        lex_rows = np.flatnonzero(ties(np.take_along_axis(flat_v, order[:, : depth + 1], axis=-1)))
+    else:
+        top = np.empty((flat_v.shape[0], depth), dtype=np.int64)
+        lex_rows = slice(None)
+    top[lex_rows] = np.lexsort((flat_t[lex_rows], -flat_v[lex_rows]), axis=-1)[:, :depth]
+    return top.reshape(*v.shape[:-1], depth)
+
+
+def favorite_pairs(rankings: np.ndarray, quotas: tuple[int, ...]) -> np.ndarray:
+    """Favorite pair table: the m (item, agent) favorite pairs of each trial,
+    encoded as item * n + agent and sorted, so by item and then by agent.
 
     `rankings` has shape (..., n, k) with k >= max(quotas): only the first
-    b_i entries of row i are read, so a truncated ranking table will do.
+    b_i entries of row i are read, so a top_items table will do.  Returns
+    int64 of shape (..., m).
     """
     q = np.asarray(quotas, dtype=np.int64)
-    n, m = q.size, int(q.sum())
+    n = q.size
     top = np.arange(rankings.shape[-1]) < q[:, None]
-    # flat (agent, item) cell of every favorite, offset by its batch position
-    cells = (np.repeat(np.arange(n) * m, q) + rankings[..., top]).reshape(-1, m)
-    cells += n * m * np.arange(cells.shape[0])[:, None]
-    mask = np.zeros(rankings.shape[:-2] + (n, m), dtype=bool)
-    mask.reshape(-1)[cells] = True
-    return mask
+    pairs = rankings[..., top] * n + np.repeat(np.arange(n), q)
+    pairs.sort(axis=-1)
+    return pairs
 
 
 def derive_preferences(profile: ValuationProfile, rng: RngLike) -> PreferenceProfile:

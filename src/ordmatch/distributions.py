@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import chi2
 
-from .core import Instance, RngLike, ValuationProfile, as_generator, rankings_from_tags
+from .core import Instance, RngLike, ValuationProfile, as_generator, top_items
 
 # The spec fields each kind takes, with the default of an optional field
 # (None marks a required one).  A field outside its kind's entry must stay None.
@@ -143,7 +143,7 @@ def values_from_uniforms(spec: DistributionSpec, inst: Instance, u: np.ndarray) 
     n, m = inst.n, inst.m
     lead = u.shape[:-1]
     if spec.kind == "iid-uniform01":
-        return u.reshape(*lead, n, m).copy()
+        return np.copy(u).reshape(*lead, n, m)
     if spec.kind in ("iid-bernoulli", "lower-bound-bernoulli"):
         p = spec.p if spec.kind == "iid-bernoulli" else 1.0 / (n * n)
         return (u.reshape(*lead, n, m) < p).astype(np.float64)
@@ -237,7 +237,7 @@ def uf_audit(
         u_vals = gen.random((batch, d_sample))
         u_tags = gen.random((batch, n * m)).reshape(batch, n, m)
         values = values_from_uniforms(spec, inst, u_vals)
-        rankings = rankings_from_tags(values, u_tags)
+        rankings = top_items(values, u_tags, inst.b_max)
         for i, b in enumerate(inst.quotas):
             bits = np.zeros(batch, dtype=np.int64)
             for t in range(b):

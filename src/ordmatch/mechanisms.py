@@ -4,6 +4,12 @@ Every mechanism observes only the agents' favorite sets (the top-quota slice
 of each ranking) plus its own coin flips; rankings are accepted as input so
 callers can measure rank-indexed assignment probabilities.
 
+The kernels read the favorite sets as a pair table: per trial, the m
+(item, agent) favorite pairs encoded as item * n + agent and sorted, so by
+item and then by agent (`core.favorite_pairs`).  Item g's demanders are then
+one contiguous run of the table, which every kernel reduces with flat
+bincount/cumsum/minimum passes over m pairs instead of n * m mask cells.
+
 Each mechanism is defined once, in the private `_MECHANISMS` registry, and
 the public lookups below read only that table.  The kernels are pure functions
 of a pre-drawn uniform block with arbitrary leading batch dimensions, so the
@@ -38,6 +44,7 @@ from .core import (
     RngLike,
     as_generator,
     complete_matching,
+    favorite_pairs,
 )
 
 PROB_SANITY_TOL = 1e-9
@@ -147,18 +154,32 @@ def hql_parameters(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
 # --- pure assignment kernels (leading batch dimensions allowed) -------------
 
 
-def rs_assign(p_survive: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pair_index(fav: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat views of a favorite pair table: the agent of every pair, its
+    (trial, item) cell in a flattened (..., m) array, which ascends along the
+    table, and its (trial, agent) slot in a flattened (..., n) array."""
+    m = fav.shape[-1]
+    item, agent = np.divmod(fav.reshape(-1, m), n)
+    trial = np.arange(item.shape[0])[:, None]
+    return agent.reshape(-1), (item + m * trial).reshape(-1), (agent + n * trial).reshape(-1)
+
+
+def rs_assign(p_survive: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Survivor lottery: each item with surviving demand goes to a uniformly
-    random surviving agent whose favorite it is."""
-    n, m = fav_mask.shape[-2:]
-    survive = u[..., :n] < p_survive
-    demand = fav_mask & survive[..., :, None]
-    count = demand.sum(axis=-2)
-    pick = (u[..., n : n + m] * count).astype(np.int64) + 1  # 1-based rank among demanders
-    csum = np.cumsum(demand, axis=-2)
-    # csum steps by 1 at each demander, so its first index equal to pick >= 1 is one
-    winner = np.argmax(csum == pick[..., None, :], axis=-2)
-    return np.where(count > 0, winner, UNASSIGNED).astype(np.int64)
+    random surviving agent whose favorite it is.
+
+    Item g's surviving demanders are one run, in agent order, of the
+    surviving pairs; the winner is entry start[g] + pick - 1 of them."""
+    n = p_survive.shape[-1]
+    m = fav.shape[-1]
+    agent, cell, slot = _pair_index(fav, n)
+    alive = (u[..., :n] < p_survive).reshape(-1)[slot]
+    count = np.bincount(cell[alive], minlength=cell.size)
+    start = np.cumsum(count) - count
+    pick = (u[..., n : n + m].reshape(-1) * count).astype(np.int64) + 1  # 1-based rank among demanders
+    survivors = np.append(agent[alive], UNASSIGNED)  # the sentinel keeps undemanded items in range
+    winner = np.where(count > 0, survivors[start + pick - 1], UNASSIGNED)
+    return winner.reshape(fav.shape)
 
 
 def rsbs_assign(
@@ -166,14 +187,15 @@ def rsbs_assign(
     p_survive_phase1: np.ndarray,
     betas: np.ndarray,
     sigma: float,
-    fav_mask: np.ndarray,
+    fav: np.ndarray,
     u: np.ndarray,
 ) -> np.ndarray:
     """Three phases: survivor lottery without i_star, independent whole-bundle
     burns, then i_star collects unassigned favorites and steals the rest of
     them with one sigma coin."""
-    n, m = fav_mask.shape[-2:]
-    phase1 = rs_assign(p_survive_phase1, fav_mask, u)
+    n = betas.shape[-1]
+    m = fav.shape[-1]
+    phase1 = rs_assign(p_survive_phase1, fav, u)
 
     burn = u[..., n + m : 2 * n + m] < betas
     assigned = phase1 >= 0
@@ -181,51 +203,52 @@ def rsbs_assign(
     burnt = np.take_along_axis(burn, holder, axis=-1) & assigned
     phase2 = np.where(burnt, UNASSIGNED, phase1)
 
-    fav_star = fav_mask[..., i_star, :]
+    agent, cell, _ = _pair_index(fav, n)
+    fav_star = np.zeros(fav.shape, dtype=bool)
+    fav_star.reshape(-1)[cell[agent == i_star]] = True
     phase3 = np.where(fav_star & (phase2 < 0), i_star, phase2)
     steal = np.asarray(u[..., 2 * n + m] < sigma)[..., None]
     held_by_other = fav_star & (phase3 >= 0) & (phase3 != i_star)
     return np.where(held_by_other & steal, i_star, phase3).astype(np.int64)
 
 
-def one_pass_assign(order: np.ndarray, active: np.ndarray, fav_mask: np.ndarray) -> np.ndarray:
+def one_pass_assign(order: np.ndarray, active: np.ndarray, fav: np.ndarray) -> np.ndarray:
     """Visit the agents in `order`, one fixed (n,) order or one (..., n) order
     per trial; the agent at position pos, when active[..., pos], irrevocably
-    takes every still-available favorite."""
-    n, m = fav_mask.shape[-2:]
-    lead = fav_mask.shape[:-2]
+    takes every still-available favorite.  So each item goes to the active
+    demander visited first."""
+    n = order.shape[-1]
+    lead = fav.shape[:-1]
     order = np.broadcast_to(order, (*lead, n))
-    active = np.broadcast_to(active, (*lead, n))
-    assignment = np.full((*lead, m), UNASSIGNED, dtype=np.int64)
-    available = np.ones((*lead, m), dtype=bool)
-    for pos in range(n):
-        agent = order[..., pos]
-        fav = np.take_along_axis(fav_mask, agent[..., None, None], axis=-2)[..., 0, :]
-        take = available & fav & active[..., pos, None]
-        assignment = np.where(take, agent[..., None], assignment)
-        available &= ~take
-    return assignment
+    # visit position of each agent; an inactive agent sits at n, after everyone
+    position = np.empty((*lead, n), dtype=np.int64)
+    np.put_along_axis(position, order, np.where(active, np.arange(n), n), axis=-1)
+    _, cell, slot = _pair_index(fav, n)
+    first_visit = np.full(fav.shape, n, dtype=np.int64)
+    np.minimum.at(first_visit.reshape(-1), cell, position.reshape(-1)[slot])
+    winner = np.take_along_axis(order, np.minimum(first_visit, n - 1), axis=-1)
+    return np.where(first_visit < n, winner, UNASSIGNED).astype(np.int64)
 
 
-def _hql_assign(order: np.ndarray, p_activate: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _hql_assign(order: np.ndarray, p_activate: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Highest quota last: one pass over a fixed order, the agent at position
     pos activated by its own coin u_activate[pos]."""
-    return one_pass_assign(order, u[..., : order.shape[0]] < p_activate, fav_mask)
+    return one_pass_assign(order, u[..., : order.shape[0]] < p_activate, fav)
 
 
-def _secretary_assign(p_survive: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _secretary_assign(p_survive: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Survivor lottery visited in a uniformly random agent order; a visited
     survivor takes every still-available favorite."""
-    n = fav_mask.shape[-2]
+    n = p_survive.shape[-1]
     survive = u[..., :n] < p_survive
     order = np.argsort(u[..., n : 2 * n], axis=-1)
-    return one_pass_assign(order, np.take_along_axis(survive, order, axis=-1), fav_mask)
+    return one_pass_assign(order, np.take_along_axis(survive, order, axis=-1), fav)
 
 
-def _serial_assign(order: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _serial_assign(order: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Deterministic one-pass baseline: each agent in turn takes every
     still-available favorite with certainty."""
-    return one_pass_assign(order, np.ones(order.shape, dtype=bool), fav_mask)
+    return one_pass_assign(order, np.ones(order.shape, dtype=bool), fav)
 
 
 # --- the registry -------------------------------------------------------------
@@ -234,8 +257,9 @@ def _serial_assign(order: np.ndarray, fav_mask: np.ndarray, u: np.ndarray) -> np
 @dataclass(frozen=True)
 class _Mechanism:
     """One mechanism's whole definition.  The kernel is called as
-    `assign(*params(spec, inst), fav_mask, u)`: fav_mask has shape (..., n, m),
-    u has shape (..., draw_count(n, m)), and it returns (..., m) item holders."""
+    `assign(*params(spec, inst), fav, u)`: fav is the (..., m) favorite pair
+    table of core.favorite_pairs (item * n + agent, sorted), u has shape
+    (..., draw_count(n, m)), and it returns (..., m) item holders."""
 
     draw_count: Callable[[int, int], int]
     params: Callable[[MechanismSpec, Instance], tuple]
@@ -302,15 +326,15 @@ def assign_from_uniforms(
     spec: MechanismSpec,
     inst: Instance,
     params: tuple,
-    fav_mask: np.ndarray,
+    fav: np.ndarray,
     u: np.ndarray,
 ) -> np.ndarray:
     """Run a mechanism from a pre-drawn uniform block (layout above).
 
     `params` must come from mechanism_params(spec, inst); `u` has shape
-    (..., mechanism_draw_count) and `fav_mask` (..., n, m).
+    (..., mechanism_draw_count) and the favorite pair table `fav` (..., m).
     """
-    return _MECHANISMS[spec.kind].assign(*params, fav_mask, u)
+    return _MECHANISMS[spec.kind].assign(*params, fav, u)
 
 
 def q_exact_per_agent(spec: MechanismSpec, inst: Instance) -> list[float]:
@@ -326,7 +350,8 @@ def run_mechanism(spec: MechanismSpec, inst: Instance, prefs: PreferenceProfile,
         raise ValueError("preference profile was derived for a different instance")
     params = mechanism_params(spec, inst)
     u = as_generator(rng).random(mechanism_draw_count(spec, inst))
-    assignment = assign_from_uniforms(spec, inst, params, prefs.favorite_mask()[None], u[None])
+    fav = favorite_pairs(prefs.rankings, inst.quotas)
+    assignment = assign_from_uniforms(spec, inst, params, fav[None], u[None])
     matching = Matching(assignment[0])
     if spec.complete:
         matching = complete_matching(matching, inst)

@@ -18,10 +18,18 @@ def random_instance(gen: np.random.Generator, n_max: int = 6, m_max: int = 12, n
     return Instance(random_quotas(gen, n_max=n_max, m_max=m_max, n_min=n_min))
 
 
-def favorite_masks(inst: Instance, lead: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Each agent's favorites: a uniformly random b_i-subset per trial."""
+def random_favorite_pairs(inst: Instance, lead: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Each agent's favorites, a uniformly random b_i-subset per trial, as a
+    favorite pair table: the m pairs encoded as item * n + agent, sorted."""
     ranks = np.argsort(rng.random((*lead, inst.n, inst.m)), axis=-1)
-    mask = np.zeros((*lead, inst.n, inst.m), dtype=bool)
-    for i, b in enumerate(inst.quotas):
-        np.put_along_axis(mask[..., i, :], ranks[..., i, :b], True, axis=-1)
+    items = np.concatenate([ranks[..., i, :b] for i, b in enumerate(inst.quotas)], axis=-1)
+    return np.sort(items * inst.n + np.repeat(np.arange(inst.n), inst.quotas), axis=-1)
+
+
+def pair_mask(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The boolean (n, m) favorite mask of one trial's pair table."""
+    mask = np.zeros((n, len(pairs)), dtype=bool)
+    for key in pairs.tolist():
+        item, agent = divmod(key, n)
+        mask[agent, item] = True
     return mask

@@ -17,7 +17,7 @@ from ordmatch import (
     derive_preferences,
     social_welfare,
 )
-from ordmatch.core import rankings_from_tags, welfare
+from ordmatch.core import rankings_from_tags, top_items, welfare
 from ordmatch.distributions import DistributionSpec, sample_profile
 from ordmatch.opt import optimal_matching
 
@@ -253,3 +253,31 @@ class TestCompleteMatching:
         inst = Instance((1, 1))
         with pytest.raises(ValueError):
             complete_matching(Matching(np.array([0, 0])), inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 9),
+    lead=st.lists(st.integers(0, 4), max_size=2).map(tuple),
+    kinds=st.sets(st.sampled_from(["continuous", "0/1", "all-equal"]), min_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_top_items_is_the_ranking_prefix(m, lead, kinds, seed):
+    """Every depth of top_items equals the same prefix of the full tag-broken
+    ranking, on batches whose rows are continuous, 0/1 or all equal, mixed."""
+    rng = np.random.default_rng(seed)
+    rows = {
+        "continuous": rng.random((*lead, m)),
+        "0/1": (rng.random((*lead, m)) < 0.5).astype(np.float64),
+        "all-equal": np.full((*lead, m), 0.25),
+    }
+    pick = rng.choice(sorted(kinds), size=(*lead, 1))
+    values = np.zeros((*lead, m))
+    for kind, row in rows.items():
+        values = np.where(pick == kind, row, values)
+    tags = rng.random((*lead, m))
+    full = rankings_from_tags(values, tags)
+    for depth in range(1, m + 1):
+        top = top_items(values, tags, depth)
+        assert top.dtype == np.int64
+        assert np.array_equal(top, full[..., :depth]), depth

@@ -125,24 +125,78 @@ class TestBatchMatchesReference:
                     assert np.array_equal(a, b), (mech.label(), dist.label())
 
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
+        # one trial per chunk, many chunks with a short last one, one short chunk
         inst = Instance((2, 2, 1))
-        baseline = estimate_distortion(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
-        base_probs = estimate_assignment_probs(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
-        for batch in (1, 97, 5_000):  # one trial per chunk, many chunks, one chunk
+        mechs = [MechanismSpec(kind) for kind in mechanisms.KINDS]
+        base = {m.kind: self.reports(m, inst, 1_111, 51) for m in mechs}
+        blocks, returned = self.record_workspaces(monkeypatch)
+        for batch in (1, 97, 5_000):
             monkeypatch.setattr(estimator, "_batch_size", lambda inst: batch)
-            chunked = estimate_distortion(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
-            assert baseline == chunked
-            probs = estimate_assignment_probs(MechanismSpec.rsbs(), UNIFORM, inst, 1_111, 51)
-            assert_same_probs(base_probs, probs)
+            for mech in mechs:
+                del blocks[:]
+                dist_rep, probs = self.reports(mech, inst, 1_111, 51)
+                assert dist_rep == base[mech.kind][0], (mech.kind, batch)
+                assert_same_probs(base[mech.kind][1], probs)
+                # each of the two serial calls runs its chunks against one workspace
+                workspaces = list({id(b): b for b in blocks}.values())
+                assert len(workspaces) == 2, (mech.kind, batch)
+                for arr in returned_arrays(returned, probs):
+                    assert not any(np.shares_memory(arr, w) for w in workspaces), (mech.kind, batch)
+                del returned[:]
 
     def test_workers_over_many_chunks_do_not_change_bits(self, monkeypatch):
+        # two workers, each running one contiguous group of chunks
         inst = Instance((3, 1, 1))
-        mech = MechanismSpec.rs()
-        baseline = estimate_distortion(mech, UNIFORM, inst, 300, 54)
-        base_probs = estimate_assignment_probs(mech, UNIFORM, inst, 300, 54)
-        monkeypatch.setattr(estimator, "_batch_size", lambda inst: 7)
-        assert estimate_distortion(mech, UNIFORM, inst, 300, 54, workers=2) == baseline
-        assert_same_probs(base_probs, estimate_assignment_probs(mech, UNIFORM, inst, 300, 54, workers=2))
+        mechs = [MechanismSpec(kind) for kind in mechanisms.KINDS]
+        base = {m.kind: self.reports(m, inst, 300, 54) for m in mechs}
+        arrays = {m.kind: estimator._collect_distortion(m, UNIFORM, inst, 300, 54, 1) for m in mechs}
+        for batch in (1, 7, 97, 5_000):
+            monkeypatch.setattr(estimator, "_batch_size", lambda inst: batch)
+            for mech in mechs:
+                dist_rep, probs = self.reports(mech, inst, 300, 54, workers=2)
+                assert dist_rep == base[mech.kind][0], (mech.kind, batch)
+                assert_same_probs(base[mech.kind][1], probs)
+                # per-trial arrays come back in trial order
+                sw, opt_vals = estimator._collect_distortion(mech, UNIFORM, inst, 300, 54, 2)
+                assert np.array_equal(sw, arrays[mech.kind][0]) and np.array_equal(opt_vals, arrays[mech.kind][1])
+
+    @staticmethod
+    def reports(mech, inst, trials, seed, workers=None):
+        return (
+            estimate_distortion(mech, UNIFORM, inst, trials, seed, workers=workers),
+            estimate_assignment_probs(mech, UNIFORM, inst, trials, seed, workers=workers),
+        )
+
+    @staticmethod
+    def record_workspaces(monkeypatch):
+        """Record the workspace behind every uniform block the engine fills,
+        and every chunk result it returns."""
+        blocks, returned = [], []
+        fill = estimator._fill_trial_blocks
+
+        def recording_fill(seed, t0, out):
+            blocks.append(out.base if out.base is not None else out)
+            return fill(seed, t0, out)
+
+        monkeypatch.setattr(estimator, "_fill_trial_blocks", recording_fill)
+        for name in ("_distortion_chunk", "_probs_chunk"):
+
+            def recording_chunk(*args, chunk=getattr(estimator, name)):
+                out = chunk(*args)
+                returned.append(out)
+                return out
+
+            monkeypatch.setattr(estimator, name, recording_chunk)
+        return blocks, returned
+
+
+def returned_arrays(chunk_results, probs):
+    """Every array in the recorded chunk results and in a probabilities report."""
+    for first, second in chunk_results:
+        yield from (first if isinstance(first, list) else [first])
+        yield second
+    for field in ("q_hat", "half_width", "hits"):
+        yield from getattr(probs, field)
 
 
 def assert_same_probs(a, b):

@@ -1,6 +1,7 @@
 """Property checks of the survivor-lottery kernels, `rs_assign` and
 `rsbs_assign`, against plain-Python reference loops over random quotas,
-favorite masks, uniform blocks and batch shapes."""
+favorite pair tables, uniform blocks and batch shapes.  The reference loops
+read each trial's favorites as a boolean (n, m) mask."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from ordmatch.mechanisms import (
     rsbs_assign,
 )
 
-from conftest import favorite_masks
+from conftest import pair_mask, random_favorite_pairs
 
 QUOTAS = st.lists(st.integers(1, 4), min_size=1, max_size=6)
 LEAD = st.lists(st.integers(1, 3), max_size=2).map(tuple)
@@ -62,13 +63,14 @@ def test_rs_matches_reference_loop(quotas, lead, seed):
     inst = Instance(tuple(quotas))
     n, m = inst.n, inst.m
     rng = np.random.default_rng(seed)
-    fav = favorite_masks(inst, lead, rng)
+    fav = random_favorite_pairs(inst, lead, rng)
     p_survive = probabilities(rng, n)
     u = rng.random((*lead, n + m))
     out = rs_assign(p_survive, fav, u)
     assert out.shape == (*lead, m) and out.dtype == np.int64
     for idx in np.ndindex(lead):
-        assert out[idx].tolist() == reference_rs(p_survive.tolist(), fav[idx].tolist(), u[idx].tolist())
+        mask = pair_mask(fav[idx], n).tolist()
+        assert out[idx].tolist() == reference_rs(p_survive.tolist(), mask, u[idx].tolist())
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,14 +79,15 @@ def test_rsbs_matches_reference_loop(quotas, lead, seed):
     inst = Instance(tuple(quotas))
     n, m = inst.n, inst.m
     rng = np.random.default_rng(seed)
-    fav = favorite_masks(inst, lead, rng)
+    fav = random_favorite_pairs(inst, lead, rng)
     i_star = int(rng.integers(n))
     p1, betas, sigma = probabilities(rng, n), probabilities(rng, n), float(probabilities(rng, 1)[0])
     u = rng.random((*lead, 2 * n + m + 1))
     out = rsbs_assign(i_star, p1, betas, sigma, fav, u)
     assert out.shape == (*lead, m) and out.dtype == np.int64
     for idx in np.ndindex(lead):
-        expected = reference_rsbs(i_star, p1.tolist(), betas.tolist(), sigma, fav[idx].tolist(), u[idx].tolist())
+        mask = pair_mask(fav[idx], n).tolist()
+        expected = reference_rsbs(i_star, p1.tolist(), betas.tolist(), sigma, mask, u[idx].tolist())
         assert out[idx].tolist() == expected
 
 
@@ -96,7 +99,7 @@ def test_lottery_mechanisms_through_the_registry(quotas, lead, extra, seed):
     layout's draw count."""
     inst = Instance(tuple(quotas))
     rng = np.random.default_rng(seed)
-    fav = favorite_masks(inst, lead, rng)
+    fav = random_favorite_pairs(inst, lead, rng)
     for spec, reference in ((MechanismSpec.rs(), reference_rs), (MechanismSpec.rsbs(), reference_rsbs)):
         params = mechanism_params(spec, inst)
         u = rng.random((*lead, mechanism_draw_count(spec, inst)))
@@ -105,7 +108,8 @@ def test_lottery_mechanisms_through_the_registry(quotas, lead, extra, seed):
         assert np.array_equal(assign_from_uniforms(spec, inst, params, fav, wide), out), spec.kind
         for idx in np.ndindex(lead):
             row = out[idx]
-            assert row.tolist() == reference(*params, fav[idx].tolist(), u[idx].tolist()), spec.kind
+            mask = pair_mask(fav[idx], inst.n)
+            assert row.tolist() == reference(*params, mask.tolist(), u[idx].tolist()), spec.kind
             held = np.flatnonzero(row != UNASSIGNED)
-            assert fav[idx][row[held], held].all(), spec.kind
+            assert mask[row[held], held].all(), spec.kind
             assert (np.bincount(row[held], minlength=inst.n) <= inst.quota_array).all(), spec.kind

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordmatch import UNASSIGNED, Instance, complete_matching
-from ordmatch.core import Matching, PreferenceProfile, complete_assignment, favorite_mask
+from ordmatch.core import Matching, complete_assignment, favorite_pairs
 from ordmatch.mechanisms import (
     MechanismSpec,
     assign_from_uniforms,
@@ -18,7 +18,7 @@ from ordmatch.mechanisms import (
     survivor_probs,
 )
 
-from conftest import favorite_masks
+from conftest import pair_mask, random_favorite_pairs
 
 QUOTAS = st.lists(st.integers(1, 4), min_size=1, max_size=6)
 LEAD = st.lists(st.integers(1, 3), max_size=2).map(tuple)
@@ -74,7 +74,7 @@ def check_completion(assignment, inst):
 def test_one_pass_matches_reference_loop(quotas, lead, per_trial_order, p_active, seed):
     inst = Instance(tuple(quotas))
     rng = np.random.default_rng(seed)
-    fav = favorite_masks(inst, lead, rng)
+    fav = random_favorite_pairs(inst, lead, rng)
     if per_trial_order:
         order = np.argsort(rng.random((*lead, inst.n)), axis=-1)
     else:
@@ -84,7 +84,7 @@ def test_one_pass_matches_reference_loop(quotas, lead, per_trial_order, p_active
     assert out.shape == (*lead, inst.m) and out.dtype == np.int64
     for idx in np.ndindex(lead):
         trial_order = order[idx] if per_trial_order else order
-        expected = reference_one_pass(trial_order.tolist(), active[idx].tolist(), fav[idx].tolist())
+        expected = reference_one_pass(trial_order.tolist(), active[idx].tolist(), pair_mask(fav[idx], inst.n).tolist())
         assert out[idx].tolist() == expected
     check_completion(out, inst)
 
@@ -113,7 +113,7 @@ def test_one_pass_mechanisms_read_their_layout(quotas, lead, seed):
     inst = Instance(tuple(quotas))
     n = inst.n
     rng = np.random.default_rng(seed)
-    fav = favorite_masks(inst, lead, rng)
+    fav = random_favorite_pairs(inst, lead, rng)
     hql_order, p_activate = hql_parameters(inst)
     p_survive = survivor_probs(inst)
     pick_order = tuple(rng.permutation(n).tolist())
@@ -132,7 +132,7 @@ def test_one_pass_mechanisms_read_their_layout(quotas, lead, seed):
             else:
                 order = list(pick_order)
                 active = [True] * n
-            expected = reference_one_pass(order, active, fav[idx].tolist())
+            expected = reference_one_pass(order, active, pair_mask(fav[idx], n).tolist())
             assert out[idx].tolist() == expected, spec.kind
 
 
@@ -148,6 +148,8 @@ def test_favorite_mask_matches_reference_loop(quotas, lead, truncate, seed):
             for g in rankings[idx][i, :b]:
                 expected[idx][i, g] = True
     table = rankings[..., : inst.b_max] if truncate else rankings
-    assert np.array_equal(favorite_mask(table, inst.quotas), expected)
-    if not lead:
-        assert np.array_equal(PreferenceProfile(inst, rankings).favorite_mask(), expected)
+    pairs = favorite_pairs(table, inst.quotas)
+    assert pairs.shape == (*lead, inst.m) and pairs.dtype == np.int64
+    assert (np.diff(pairs, axis=-1) > 0).all()  # sorted by item, then agent
+    for idx in np.ndindex(lead):
+        assert np.array_equal(pair_mask(pairs[idx], inst.n), expected[idx])

@@ -110,11 +110,15 @@ def stealing_prob(b_max: int, m: int) -> float:
     return (1.0 - (2.0 - x) * e) / -math.expm1(x - 1.0)
 
 
+def _rsbs_q(x: float) -> float:
+    """1 - (1 - x) e^(-1 + x), with the 1 - e^(-1 + x) part kept exact for small x."""
+    return -math.expm1(x - 1.0) + x * math.exp(x - 1.0)
+
+
 def rsbs_q_exact(inst: Instance) -> float:
     """The burn/steal mechanism's per-favorite-item assignment probability,
     1 - (1 - bmax/m) e^(-1 + bmax/m), identical for every agent and rank."""
-    x = inst.b_max / inst.m
-    return -math.expm1(x - 1.0) + x * math.exp(x - 1.0)
+    return _rsbs_q(inst.b_max / inst.m)
 
 
 def hql_q(inst: Instance) -> float:
@@ -171,8 +175,7 @@ def distortion_gap_curve(x: float) -> GapCurvePoint:
         raise ValueError(f"x must lie in (0, 1], got {x}")
     fl = _floor_reciprocal(x)
     numerator = 1.0 - (1.0 - x) ** fl * fl * x
-    denominator = -math.expm1(x - 1.0) + x * math.exp(x - 1.0)
-    return GapCurvePoint(x=x, bound=numerator / denominator)
+    return GapCurvePoint(x=x, bound=numerator / _rsbs_q(x))
 
 
 def product_floor_bound(inst: Instance) -> float:

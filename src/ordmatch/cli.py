@@ -290,8 +290,8 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config, args)
     rows = []
     for inst, mech, dist in product(cfg["instances"], cfg["mechanisms"], cfg["distributions"]):
-        rep = estimator.estimate_distortion(mech, dist, inst, cfg["trials"], cfg["seed"])
-        benchmark = analytics.benchmark_lower_bound(inst)
+        gap = estimator.gap_report(mech, inst, dist, cfg["trials"], cfg["seed"])
+        rep = gap.estimate
         rows.append(
             [
                 inst.n,
@@ -305,8 +305,8 @@ def cmd_run(args) -> int:
                 _fmt(rep.mean_sw),
                 _fmt(rep.distortion_estimate),
                 _fmt(rep.stderr_ratio),
-                _fmt(benchmark),
-                _fmt(rep.distortion_estimate / benchmark),
+                _fmt(gap.benchmark_lb),
+                _fmt(gap.gap_ratio),
             ]
         )
     with open(cfg["output"], "w", newline="", encoding="utf-8") as f:

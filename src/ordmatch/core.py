@@ -146,10 +146,6 @@ class Matching:
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
 
-    @classmethod
-    def empty(cls, m: int) -> "Matching":
-        return cls(np.full(m, UNASSIGNED, dtype=np.int64))
-
     def bundle_sizes(self, inst: Instance) -> np.ndarray:
         assigned = self.assignment[self.assignment >= 0]
         return np.bincount(assigned, minlength=inst.n).astype(np.int64)
@@ -166,34 +162,19 @@ class Matching:
             raise ValueError(f"agent {i} holds {int(sizes[i])} items, quota is {inst.quotas[i]}")
 
 
-def rankings_from_tags(values: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """Rank items by decreasing value, breaking exact ties by increasing tag.
-
-    With i.i.d. uniform tags (one per agent/item cell) every relative order of
-    equal-valued items is equally likely.  Accepts arbitrary leading batch
-    dimensions; the last axis is the item axis.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    t = np.asarray(tags, dtype=np.float64)
-    if v.shape != t.shape:
-        raise ValueError("values and tags must have matching shapes")
-    m = v.shape[-1]
-    flat_v = v.reshape(-1, m)
-    flat_t = t.reshape(-1, m)
-    idx = np.lexsort((flat_t, -flat_v), axis=-1)
-    return idx.reshape(v.shape).astype(np.int64)
-
-
 def top_items(values: np.ndarray, tags: np.ndarray, depth: int) -> np.ndarray:
-    """The first `depth` columns of rankings_from_tags(values, tags), exactly,
-    with the value-tie handling paid only by rows that have value ties.
+    """The first `depth` items of each ranking: items by decreasing value,
+    exact value ties broken by increasing tag.  With i.i.d. uniform tags (one
+    per agent/item cell) every relative order of equal-valued items is
+    equally likely.  Leading batch dimensions are kept; the last axis is the
+    item axis, and depth m gives the full ranking.
 
     Depth 1 is one max/where/argmin pass.  Deeper tables sort each row by
     value alone and keep the first `depth` items; a row whose first
     depth + 1 sorted values hold a tie (its order or its cut would depend on
-    the tags) is ranked by the lexsort instead.  A batch whose first row ties
-    is taken to be discrete-valued (0/1 or all-equal rows, where nearly every
-    row ties) and goes to the lexsort whole.
+    the tags) is ranked by a lexsort on (-value, tag) instead.  A batch
+    whose first row ties, or a table of full depth m, is taken whole to the
+    lexsort: 0/1 and all-equal rows tie nearly everywhere.
     """
     v = np.asarray(values, dtype=np.float64)
     t = np.asarray(tags, dtype=np.float64)
@@ -247,7 +228,7 @@ def derive_preferences(profile: ValuationProfile, rng: RngLike) -> PreferencePro
     gen = as_generator(rng)
     inst = profile.instance
     tags = gen.random(inst.n * inst.m).reshape(inst.n, inst.m)
-    return PreferenceProfile(inst, rankings_from_tags(profile.values, tags))
+    return PreferenceProfile(inst, top_items(profile.values, tags, inst.m))
 
 
 def welfare(values: np.ndarray, assignment: np.ndarray) -> np.ndarray:

@@ -41,6 +41,8 @@ _FIELDS: dict[str, dict[str, object]] = {
 KINDS = tuple(_FIELDS)
 
 UF_AUDIT_MAX_ITEMS = 12
+# trials per audit batch; part of the draw order, so fixed: one seed, one audit
+UF_AUDIT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -197,19 +199,14 @@ class UFAuditReport:
         return min(a.p_value for a in self.per_agent)
 
 
-def uf_audit(
-    spec: DistributionSpec,
-    inst: Instance,
-    trials: int,
-    rng: RngLike,
-    chunk: int = 4096,
-) -> UFAuditReport:
+def uf_audit(spec: DistributionSpec, inst: Instance, trials: int, rng: RngLike) -> UFAuditReport:
     """Tabulate observed favorite-bundle frequencies against the uniform
     distribution over b_i-subsets and report a chi-square statistic per agent.
 
     Favorite sets are taken after uniform tie resolution, exactly as the
     mechanisms see them.  Restricted to m <= 12 so the subset tables stay
-    enumerable.
+    enumerable.  Each batch of UF_AUDIT_CHUNK trials draws its value block,
+    then its tag block, from `rng`.
     """
     if inst.m > UF_AUDIT_MAX_ITEMS:
         raise ValueError(f"audit supports at most {UF_AUDIT_MAX_ITEMS} items, got {inst.m}")
@@ -233,7 +230,7 @@ def uf_audit(
     d_sample = sample_draw_count(spec, inst)
     done = 0
     while done < trials:
-        batch = min(chunk, trials - done)
+        batch = min(UF_AUDIT_CHUNK, trials - done)
         u_vals = gen.random((batch, d_sample))
         u_tags = gen.random((batch, n * m)).reshape(batch, n, m)
         values = values_from_uniforms(spec, inst, u_vals)

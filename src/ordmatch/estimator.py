@@ -238,17 +238,17 @@ def _distortion_chunk(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple
     return sw, opt_vals
 
 
-def _probs_chunk(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _probs_chunk(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, b_max) counts of trials in which agent i got their rank-(t+1)
+    item, zero past rank b_i, and the (n,) sums over trials of each agent's
+    squared favorite count."""
     inst = task[2]
     _, top, assignment = _chunk_arrays(task, block, t0, t1)
-    hits: list[np.ndarray] = []
-    count_sq = np.zeros(inst.n, dtype=np.int64)
-    for i, b in enumerate(inst.quotas):
-        got = np.take_along_axis(assignment, top[:, i, :b], axis=-1) == i
-        hits.append(got.sum(axis=0).astype(np.int64))
-        cnt = got.sum(axis=1)
-        count_sq[i] = int((cnt.astype(np.int64) ** 2).sum())
-    return hits, count_sq
+    favorite = np.arange(inst.b_max) < inst.quota_array[:, None]
+    owner = np.take_along_axis(assignment[:, None, :], top, axis=-1)
+    got = (owner == np.arange(inst.n)[:, None]) & favorite
+    count = got.sum(axis=-1, dtype=np.int64)
+    return got.sum(axis=0, dtype=np.int64), (count * count).sum(axis=0)
 
 
 def _plan(trials: int, batch: int) -> list[tuple[int, int]]:
@@ -313,13 +313,9 @@ def _collect_probs(
     workers: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     parts = _map_chunks(_probs_chunk, mech, dist, inst, trials, seed, workers)
-    hits = [np.zeros(b, dtype=np.int64) for b in inst.quotas]
-    count_sq = np.zeros(inst.n, dtype=np.int64)
-    for part_hits, part_sq in parts:
-        for i in range(inst.n):
-            hits[i] += part_hits[i]
-        count_sq += part_sq
-    return hits, count_sq
+    hits = sum(p[0] for p in parts)
+    count_sq = sum(p[1] for p in parts)
+    return [hits[i, :b] for i, b in enumerate(inst.quotas)], count_sq
 
 
 # --- statistics ---------------------------------------------------------------
@@ -531,17 +527,23 @@ def gap_report(
 # --- single-trial reference path (used to pin the batched kernels) -------------
 
 
-def _reference_distortion_arrays(
-    mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _reference_trials(mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int):
+    """Yield (profile, prefs, matching) of trials 0, 1, ..., each drawn from
+    RandomStream(seed, t) through the single-run API."""
     _validated(mech, dist, inst, trials)
-    sw = np.empty(trials)
-    opt_vals = np.empty(trials)
     for t in range(trials):
         gen = RandomStream(seed, t).generator()
         profile = distributions.sample_profile(dist, inst, gen)
         prefs = derive_preferences(profile, gen)
-        matching = mechanisms.run_mechanism(mech, inst, prefs, gen)
+        yield profile, prefs, mechanisms.run_mechanism(mech, inst, prefs, gen)
+
+
+def _reference_distortion_arrays(
+    mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    sw = np.empty(trials)
+    opt_vals = np.empty(trials)
+    for t, (profile, _, matching) in enumerate(_reference_trials(mech, dist, inst, trials, seed)):
         sw[t] = social_welfare(matching, profile)
         opt_vals[t] = opt.optimal_value(inst, profile.values)
     return sw, opt_vals
@@ -549,17 +551,14 @@ def _reference_distortion_arrays(
 
 def _reference_prob_counts(
     mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int
-) -> list[np.ndarray]:
-    mech = replace(mech, complete=False)
-    _validated(mech, dist, inst, trials)
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-agent (rank) hit counts and per-agent sums of squared per-trial
+    favorite counts, the two outputs of _collect_probs."""
     hits = [np.zeros(b, dtype=np.int64) for b in inst.quotas]
-    for t in range(trials):
-        gen = RandomStream(seed, t).generator()
-        profile = distributions.sample_profile(dist, inst, gen)
-        prefs = derive_preferences(profile, gen)
-        matching = mechanisms.run_mechanism(mech, inst, prefs, gen)
+    count_sq = np.zeros(inst.n, dtype=np.int64)
+    for _, prefs, matching in _reference_trials(replace(mech, complete=False), dist, inst, trials, seed):
         for i, b in enumerate(inst.quotas):
-            for rank in range(b):
-                if matching.assignment[prefs.rankings[i, rank]] == i:
-                    hits[i][rank] += 1
-    return hits
+            got = matching.assignment[prefs.rankings[i, :b]] == i
+            hits[i] += got
+            count_sq[i] += int(got.sum()) ** 2
+    return hits, count_sq

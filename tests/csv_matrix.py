@@ -1,11 +1,12 @@
-"""Fixed matrix of `ordmatch run` / `ordmatch probs` CSVs and its digest.
+"""Fixed matrix of `ordmatch run` / `probs` / `ufaudit` CSVs and its digest.
 
     python3 tests/csv_matrix.py SRC_DIR OUT_DIR
 
 Imports `ordmatch` from SRC_DIR (the `src/` directory of a checkout), writes
-60 CSVs into OUT_DIR and prints the file count and the sha256 of the sorted
-per-file sha256 hex digests, one per line.  Two checkouts whose reports are
-byte-identical print the same digest.
+64 CSVs into OUT_DIR and prints two lines, each a file count and the sha256
+of the sorted per-file sha256 hex digests, one per line: first over the 60
+`run` / `probs` files of the original matrix, then over all 64.  Two
+checkouts whose reports are byte-identical print the same digests.
 
 The matrix:
 - `run` with `flags.emit_probs`, 600 trials, seed 11: one config per
@@ -20,9 +21,16 @@ The matrix:
   `exchangeable-permutation` over a base of m entries in {0, 0.5, 1} (ties).
 - `probs`, 3000 trials, seed 5: each mechanism x instance x the first two
   distributions.
+- `ufaudit`, 5000 trials (two audit batches), seed 7: (3,2,1) under
+  `exchangeable-permutation` with ties, and the n=4 m=9 instance under
+  `favorite-bundle-uniform(1,0)`.
+- `run` with `flags.emit_curve`, 600 trials, seed 11: `rsbs` on (3,2,1)
+  under `iid-uniform01`, plus the 10000-point curve CSV.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -71,22 +79,49 @@ def configs():
                 yield "probs", f"probs-{mech}-{k}-{j}", cfg
 
 
+def extra_configs():
+    """Yield (command, file stem, config) for the cells added after the
+    first 60 files: the `ufaudit` command and the curve CSV of `run`."""
+    audits = [(INSTANCES[1], other_distributions(6)[3]), (INSTANCES[3], DISTRIBUTIONS[1])]
+    for k, (inst, dist) in enumerate(audits):
+        yield "ufaudit", f"ufaudit-{k}", {"instance": inst, "distribution": dist, "trials": 5000, "seed": 7}
+    cfg = {
+        "instance": INSTANCES[1],
+        "distribution": DISTRIBUTIONS[0],
+        "mechanism": {"name": "rsbs"},
+        "trials": 600,
+        "seed": 11,
+        "flags": {"emit_curve": True},
+    }
+    yield "run", "run-curve", cfg
+
+
+def digest(files) -> str:
+    digests = sorted(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+    return hashlib.sha256("\n".join(digests).encode() + b"\n").hexdigest()
+
+
 def main(src: str, out: Path) -> None:
     sys.path.insert(0, src)
     from ordmatch.cli import main as ordmatch_main
 
     out.mkdir(parents=True, exist_ok=True)
     files = []
-    for command, stem, cfg in configs():
+    for command, stem, cfg in [*configs(), *extra_configs()]:
         path = out / f"{stem}.json"
         path.write_text(json.dumps(dict(cfg, output=str(out / f"{stem}.csv"))))
-        if ordmatch_main([command, str(path)]) != 0:
+        with contextlib.redirect_stdout(io.StringIO()):  # ufaudit prints a summary line
+            status = ordmatch_main([command, str(path)])
+        if status != 0:
             raise SystemExit(f"ordmatch {command} failed on {path}")
         files.append(out / f"{stem}.csv")
-        if command == "run":
+        flags = cfg.get("flags", {})
+        if flags.get("emit_probs"):
             files.append(out / f"{stem}.csv.probs.csv")
-    digests = sorted(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
-    print(len(files), "files", hashlib.sha256("\n".join(digests).encode() + b"\n").hexdigest())
+        if flags.get("emit_curve"):
+            files.append(out / f"{stem}.csv.curve.csv")
+    print(60, "files", digest(files[:60]))
+    print(len(files), "files", digest(files))
 
 
 if __name__ == "__main__":

@@ -17,11 +17,19 @@ from ordmatch import (
     derive_preferences,
     social_welfare,
 )
-from ordmatch.core import rankings_from_tags, top_items, welfare
+from ordmatch.core import top_items, welfare
 from ordmatch.distributions import DistributionSpec, sample_profile
 from ordmatch.opt import optimal_matching
 
 from conftest import random_instance
+
+
+def lexsort_rankings(values: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """Reference ranking: items by decreasing value, exact ties by increasing
+    tag, one lexsort over each row's full item axis."""
+    m = values.shape[-1]
+    idx = np.lexsort((tags.reshape(-1, m), -values.reshape(-1, m)), axis=-1)
+    return idx.reshape(values.shape).astype(np.int64)
 
 
 class TestRandomStream:
@@ -134,7 +142,7 @@ class TestDerivePreferences:
         gen = RandomStream(53).generator()
         values = np.zeros((trials, 1, 5))
         tags = gen.random((trials, 1, 5))
-        rankings = rankings_from_tags(values, tags)[:, 0, :]
+        rankings = top_items(values, tags, 5)[:, 0, :]
         keys = np.ravel_multi_index(rankings.T, (5, 5, 5, 5, 5))
         counts = np.bincount(keys, minlength=5**5)
         perm_keys = [np.ravel_multi_index(p, (5,) * 5) for p in permutations(range(5))]
@@ -149,7 +157,7 @@ class TestSocialWelfare:
     def test_empty_matching(self):
         inst = Instance((1, 1))
         profile = ValuationProfile(inst, np.array([[0.7, 0.1], [0.3, 0.2]]))
-        assert social_welfare(Matching.empty(2), profile) == 0.0
+        assert social_welfare(Matching(np.full(2, UNASSIGNED)), profile) == 0.0
 
     def test_two_term_sum(self):
         inst = Instance((1, 1))
@@ -170,7 +178,7 @@ class TestSocialWelfare:
         for _ in range(20):
             inst = random_instance(gen)
             profile = sample_profile(DistributionSpec.iid_uniform01(), inst, gen)
-            full = complete_matching(Matching.empty(inst.m), inst)
+            full = complete_matching(Matching(np.full(inst.m, UNASSIGNED)), inst)
             split = gen.random(inst.m) < 0.5
             part_a = np.where(split, full.assignment, UNASSIGNED)
             part_b = np.where(split, UNASSIGNED, full.assignment)
@@ -223,7 +231,7 @@ class TestCompleteMatching:
 
     def test_empty_fill_order(self):
         inst = Instance((1, 1))
-        filled = complete_matching(Matching.empty(2), inst)
+        filled = complete_matching(Matching(np.full(2, UNASSIGNED)), inst)
         assert np.array_equal(filled.assignment, [0, 1])
 
     def test_residual_quota_fill(self):
@@ -276,7 +284,7 @@ def test_top_items_is_the_ranking_prefix(m, lead, kinds, seed):
     for kind, row in rows.items():
         values = np.where(pick == kind, row, values)
     tags = rng.random((*lead, m))
-    full = rankings_from_tags(values, tags)
+    full = lexsort_rankings(values, tags)
     for depth in range(1, m + 1):
         top = top_items(values, tags, depth)
         assert top.dtype == np.int64

@@ -119,10 +119,12 @@ class TestBatchMatchesReference:
         inst = Instance(quotas)
         for mech in self.MECHS[:5]:
             for dist in self.DISTS:
-                batch, _ = estimator._collect_probs(mech, dist, inst, 200, 50, 1)
-                ref = estimator._reference_prob_counts(mech, dist, inst, 200, 50)
+                batch, batch_sq = estimator._collect_probs(mech, dist, inst, 200, 50, 1)
+                ref, ref_sq = estimator._reference_prob_counts(mech, dist, inst, 200, 50)
+                assert len(batch) == len(ref) == inst.n
                 for a, b in zip(batch, ref):
                     assert np.array_equal(a, b), (mech.label(), dist.label())
+                assert np.array_equal(batch_sq, ref_sq), (mech.label(), dist.label())
 
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
         # one trial per chunk, many chunks with a short last one, one short chunk
@@ -192,9 +194,8 @@ class TestBatchMatchesReference:
 
 def returned_arrays(chunk_results, probs):
     """Every array in the recorded chunk results and in a probabilities report."""
-    for first, second in chunk_results:
-        yield from (first if isinstance(first, list) else [first])
-        yield second
+    for result in chunk_results:
+        yield from result
     for field in ("q_hat", "half_width", "hits"):
         yield from getattr(probs, field)
 

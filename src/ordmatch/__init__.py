@@ -24,6 +24,7 @@ from .estimator import (
     OneToOneReplayReport,
     estimate_assignment_probs,
     estimate_distortion,
+    estimate_distortions,
     gap_report,
     run_lb_secretary,
     run_lb_theorem1,
@@ -56,6 +57,7 @@ __all__ = [
     "OneToOneReplayReport",
     "estimate_assignment_probs",
     "estimate_distortion",
+    "estimate_distortions",
     "gap_report",
     "run_lb_secretary",
     "run_lb_theorem1",

@@ -288,9 +288,15 @@ def _write_curve_csv(path: str, points: int) -> tuple[float, float]:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args)
+    # every mechanism of an (instance, distribution) pair runs on the same trials
+    mechs, trials, seed = cfg["mechanisms"], cfg["trials"], cfg["seed"]
+    reports = {
+        (inst, dist): dict(zip(mechs, estimator.estimate_distortions(mechs, dist, inst, trials, seed)))
+        for inst, dist in product(cfg["instances"], cfg["distributions"])
+    }
     rows = []
-    for inst, mech, dist in product(cfg["instances"], cfg["mechanisms"], cfg["distributions"]):
-        gap = estimator.gap_report(mech, inst, dist, cfg["trials"], cfg["seed"])
+    for inst, mech, dist in product(cfg["instances"], mechs, cfg["distributions"]):
+        gap = estimator.GapReport.of(reports[inst, dist][mech], inst)
         rep = gap.estimate
         rows.append(
             [

@@ -7,6 +7,16 @@ RandomStream(seed, t).  Per-trial results are reduced in ascending trial
 order with exact (fsum) summation, so reports are bitwise identical no matter
 how trials are chunked or how many worker processes run them.
 
+RandomStream is counter-based (Philox), so a longer fill of trial t's stream
+begins with exactly the draws of a shorter one.  That prefix property lets
+`estimate_distortions` run several mechanisms on the same trials: it fills
+one block as wide as the hungriest mechanism's layout, draws the profile,
+ranking and exact optimum once, and hands each mechanism its own layout's
+prefix of the mechanism block.  Each report is bitwise equal to the one
+`estimate_distortion` returns for that mechanism alone.  `ordmatch run` makes
+one such call per (instance, distribution) pair, so all of its mechanisms
+are scored on the same trials.
+
 Trials are executed in vectorized chunks sized from a fixed byte budget
 (CHUNK_BYTES over a per-trial working-set estimate), so the estimated working
 set of a chunk of more than one trial stays within that budget whatever the
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -125,6 +136,13 @@ class GapReport:
     benchmark_lb: float
     gap_ratio: float
 
+    @classmethod
+    def of(cls, estimate: EstimateReport, inst: Instance) -> "GapReport":
+        """An estimate against the benchmark floor of its instance."""
+        benchmark = analytics.benchmark_lower_bound(inst)
+        ratio = estimate.distortion_estimate / benchmark
+        return cls(estimate=estimate, benchmark_lb=benchmark, gap_ratio=ratio)
+
 
 # --- engine -------------------------------------------------------------------
 
@@ -174,67 +192,86 @@ def _batch_size(inst: Instance) -> int:
     return max(1, min(MAX_BATCH, CHUNK_BYTES // per_trial))
 
 
-def _trial_layout(mech: MechanismSpec, dist: DistributionSpec, inst: Instance) -> tuple[int, int, int]:
+def _trial_layout(
+    mechs: tuple[MechanismSpec, ...], dist: DistributionSpec, inst: Instance
+) -> tuple[int, int, int]:
+    """Sample, tag and mechanism draw counts of one trial; the mechanism
+    block is as wide as the largest layout among `mechs`."""
     d_sample = distributions.sample_draw_count(dist, inst)
     d_tags = inst.n * inst.m
-    d_mech = mechanisms.mechanism_draw_count(mech, inst)
+    d_mech = max(mechanisms.mechanism_draw_count(mech, inst) for mech in mechs)
     return d_sample, d_tags, d_mech
 
 
 def _fill_trial_blocks(seed: int, t0: int, out: np.ndarray) -> np.ndarray:
     """Fill the uniform block of trials [t0, t0 + len(out)) into `out` and
     return it: row k holds the out.shape[1] draws of RandomStream(seed, t0+k).
-    Implemented by resetting one Philox bit generator's (key, counter) state
-    per trial, which is bit-identical to constructing a fresh generator per
-    trial but much cheaper."""
+    Implemented by resetting one Philox bit generator to the fresh state of
+    key (seed, t) per trial, which is bit-identical to constructing a fresh
+    generator per trial but much cheaper.  The state is one dict of plain
+    lists, of which only the stream word changes; the setter copies it."""
     bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    key = state["state"]["key"]
-    counter = state["state"]["counter"]
+    key = [seed, t0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0] * 4, "key": key},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,  # no buffered words
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for k in range(out.shape[0]):
         key[1] = t0 + k
-        counter[:] = 0
-        state["buffer_pos"] = 4  # discard any buffered words
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
         bit_gen.state = state
         gen.random(out=out[k])
     return out
 
 
-def _chunk_arrays(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, top-of-ranking tables and mechanism assignments for trials
-    [t0, t1) of `task` = (mech, dist, inst, params, seed), drawn into the
-    first t1 - t0 rows of the call's uniform `block`.  The table covers ranks
-    up to the largest quota, all any caller inspects; no returned array is a
-    view of `block`."""
-    mech, dist, inst, params, seed = task
+def _chunk_arrays(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Values, top-of-ranking tables and one assignment per mechanism for
+    trials [t0, t1) of `task` = (mechs, dist, inst, params, seed), drawn into
+    the first t1 - t0 rows of the call's uniform `block`.  Every mechanism
+    runs on the same profiles and rankings, reading its own layout's prefix
+    of the mechanism block.  The table covers ranks up to the largest quota,
+    all any caller inspects; no returned array is a view of `block`."""
+    mechs, dist, inst, params, seed = task
     n, m = inst.n, inst.m
-    d_sample, d_tags, _ = _trial_layout(mech, dist, inst)
+    d_sample, d_tags, _ = _trial_layout(mechs, dist, inst)
     batch = t1 - t0
     block = _fill_trial_blocks(seed, t0, block[:batch])
     values = distributions.values_from_uniforms(dist, inst, block[:, :d_sample])
     tags = block[:, d_sample : d_sample + d_tags].reshape(batch, n, m)
     top = top_items(values, tags, inst.b_max)
     fav = favorite_pairs(top, inst.quotas)
-    assignment = mechanisms.assign_from_uniforms(mech, inst, params, fav, block[:, d_sample + d_tags :])
-    return values, top, assignment
+    start = d_sample + d_tags
+    assignments = [
+        mechanisms.assign_from_uniforms(
+            mech, inst, p, fav, block[:, start : start + mechanisms.mechanism_draw_count(mech, inst)]
+        )
+        for mech, p in zip(mechs, params)
+    ]
+    return values, top, assignments
 
 
 def _distortion_chunk(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
-    mech, _, inst, _, _ = task
-    values, _, assignment = _chunk_arrays(task, block, t0, t1)
-    if mech.complete:
-        assignment = complete_assignment(assignment, inst)
-    sw = welfare(values, assignment)
+    """(M, batch) welfare of each of the task's M mechanisms and the (batch,)
+    optimum, which is solved once for all of them."""
+    mechs, _, inst, _, _ = task
+    values, _, assignments = _chunk_arrays(task, block, t0, t1)
     opt_vals = opt.optimal_values(inst, values)
-    worst = np.flatnonzero(sw > opt_vals)
-    if worst.size:
-        t = t0 + int(worst[0])
-        raise AssertionError(
-            f"trial {t}: mechanism welfare {sw[worst[0]]!r} exceeds optimum {opt_vals[worst[0]]!r}"
-        )
+    sw = np.empty((len(mechs), t1 - t0))
+    for k, (mech, assignment) in enumerate(zip(mechs, assignments)):
+        if mech.complete:
+            assignment = complete_assignment(assignment, inst)
+        sw[k] = welfare(values, assignment)
+        worst = np.flatnonzero(sw[k] > opt_vals)
+        if worst.size:
+            j = int(worst[0])
+            raise AssertionError(
+                f"{mech.label()} trial {t0 + j}: mechanism welfare {float(sw[k, j])!r} "
+                f"exceeds optimum {float(opt_vals[j])!r}"
+            )
     return sw, opt_vals
 
 
@@ -243,7 +280,7 @@ def _probs_chunk(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.n
     item, zero past rank b_i, and the (n,) sums over trials of each agent's
     squared favorite count."""
     inst = task[2]
-    _, top, assignment = _chunk_arrays(task, block, t0, t1)
+    _, top, (assignment,) = _chunk_arrays(task, block, t0, t1)
     favorite = np.arange(inst.b_max) < inst.quota_array[:, None]
     owner = np.take_along_axis(assignment[:, None, :], top, axis=-1)
     got = (owner == np.arange(inst.n)[:, None]) & favorite
@@ -260,26 +297,37 @@ def _run_group(fn, task: tuple, ranges: list[tuple[int, int]]) -> list:
     workspace: a uniform block with rows for the group's largest chunk, which
     every chunk refills.  Reusing it spares each chunk the page faults of a
     fresh allocation; it is released when the group ends."""
-    mech, dist, inst, _, _ = task
-    block = np.empty((max(t1 - t0 for t0, t1 in ranges), sum(_trial_layout(mech, dist, inst))))
+    mechs, dist, inst, _, _ = task
+    block = np.empty((max(t1 - t0 for t0, t1 in ranges), sum(_trial_layout(mechs, dist, inst))))
     return [fn(task, block, t0, t1) for t0, t1 in ranges]
 
 
-def _validated(mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int) -> tuple:
+def _validated(
+    mechs: tuple[MechanismSpec, ...], dist: DistributionSpec, inst: Instance, trials: int
+) -> tuple:
+    """The parameters of each mechanism, after checking the call."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not mechs:
+        raise ValueError("need at least one mechanism")
     distributions.validate_for_instance(dist, inst)
-    return mechanisms.mechanism_params(mech, inst)
+    return tuple(mechanisms.mechanism_params(mech, inst) for mech in mechs)
 
 
 def _map_chunks(
-    fn, mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int, workers: int
+    fn,
+    mechs: tuple[MechanismSpec, ...],
+    dist: DistributionSpec,
+    inst: Instance,
+    trials: int,
+    seed: int,
+    workers: int,
 ) -> list:
     """`fn` over every chunk of the call's plan, results in chunk order; an
     oversized trial is refused first.  Serially the chunks run as one group;
     with more workers, they are cut into one contiguous group per worker."""
     batch = _batch_size(inst)
-    task = (mech, dist, inst, _validated(mech, dist, inst, trials), seed)
+    task = (mechs, dist, inst, _validated(mechs, dist, inst, trials), seed)
     ranges = _plan(trials, batch)
     groups = min(workers, len(ranges))
     if groups <= 1:
@@ -291,15 +339,16 @@ def _map_chunks(
 
 
 def _collect_distortion(
-    mech: MechanismSpec,
+    mechs: tuple[MechanismSpec, ...],
     dist: DistributionSpec,
     inst: Instance,
     trials: int,
     seed: int,
     workers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    parts = _map_chunks(_distortion_chunk, mech, dist, inst, trials, seed, workers)
-    sw = np.concatenate([p[0] for p in parts])
+    """(M, trials) welfare of each mechanism and the (trials,) optimum."""
+    parts = _map_chunks(_distortion_chunk, mechs, dist, inst, trials, seed, workers)
+    sw = np.concatenate([p[0] for p in parts], axis=1)
     opt_vals = np.concatenate([p[1] for p in parts])
     return sw, opt_vals
 
@@ -312,7 +361,7 @@ def _collect_probs(
     seed: int,
     workers: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    parts = _map_chunks(_probs_chunk, mech, dist, inst, trials, seed, workers)
+    parts = _map_chunks(_probs_chunk, (mech,), dist, inst, trials, seed, workers)
     hits = sum(p[0] for p in parts)
     count_sq = sum(p[1] for p in parts)
     return [hits[i, :b] for i, b in enumerate(inst.quotas)], count_sq
@@ -326,15 +375,18 @@ def _mean(x: np.ndarray) -> float:
 
 
 def _variance(x: np.ndarray, mean: float) -> float:
+    # The subtraction is the same IEEE operation in numpy; the square must
+    # stay libm pow (what Python's ** calls), which v * v and numpy's
+    # squaring miss in the last bit on some values.
     if len(x) < 2:
         return 0.0
-    return math.fsum((v - mean) ** 2 for v in x.tolist()) / (len(x) - 1)
+    return math.fsum(map(pow, (x - mean).tolist(), repeat(2))) / (len(x) - 1)
 
 
 def _covariance(x: np.ndarray, y: np.ndarray, mx: float, my: float) -> float:
     if len(x) < 2:
         return 0.0
-    return math.fsum((a - mx) * (b - my) for a, b in zip(x.tolist(), y.tolist())) / (len(x) - 1)
+    return math.fsum(((x - mx) * (y - my)).tolist()) / (len(x) - 1)
 
 
 def wilson_half_width(successes: int, trials: int, z: float = WILSON_Z) -> float:
@@ -390,8 +442,24 @@ def estimate_distortion(
     records both its welfare and the exact optimum; welfare never exceeding
     the optimum is asserted trial by trial.
     """
-    sw, opt_vals = _collect_distortion(mech, dist, inst, trials, seed, _resolve_workers(workers))
-    return _build_estimate(sw, opt_vals, trials, seed)
+    return estimate_distortions((mech,), dist, inst, trials, seed, workers=workers)[0]
+
+
+def estimate_distortions(
+    mechs: Sequence[MechanismSpec],
+    dist: DistributionSpec,
+    inst: Instance,
+    trials: int,
+    seed: int,
+    *,
+    workers: int | None = None,
+) -> list[EstimateReport]:
+    """One `estimate_distortion` report per mechanism of `mechs`, each bitwise
+    equal to that mechanism's own call, from one pass over the trials: every
+    mechanism sees the same profiles, and the optimum is solved once."""
+    mechs = tuple(mechs)
+    sw, opt_vals = _collect_distortion(mechs, dist, inst, trials, seed, _resolve_workers(workers))
+    return [_build_estimate(row, opt_vals, trials, seed) for row in sw]
 
 
 def estimate_assignment_probs(
@@ -519,9 +587,7 @@ def gap_report(
     workers: int | None = None,
 ) -> GapReport:
     """Distortion estimate divided by the per-instance benchmark floor."""
-    rep = estimate_distortion(mech, dist, inst, trials, seed, workers=workers)
-    benchmark = analytics.benchmark_lower_bound(inst)
-    return GapReport(estimate=rep, benchmark_lb=benchmark, gap_ratio=rep.distortion_estimate / benchmark)
+    return GapReport.of(estimate_distortion(mech, dist, inst, trials, seed, workers=workers), inst)
 
 
 # --- single-trial reference path (used to pin the batched kernels) -------------
@@ -530,7 +596,7 @@ def gap_report(
 def _reference_trials(mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int):
     """Yield (profile, prefs, matching) of trials 0, 1, ..., each drawn from
     RandomStream(seed, t) through the single-run API."""
-    _validated(mech, dist, inst, trials)
+    _validated((mech,), dist, inst, trials)
     for t in range(trials):
         gen = RandomStream(seed, t).generator()
         profile = distributions.sample_profile(dist, inst, gen)

@@ -1,10 +1,11 @@
 import csv
 import json
+from itertools import product
 
 import numpy as np
 import pytest
 
-from ordmatch import Instance, analytics
+from ordmatch import DistributionSpec, Instance, MechanismSpec, analytics, gap_report
 from ordmatch import cli
 from ordmatch.cli import main
 
@@ -71,6 +72,19 @@ class TestRun:
         assert main(["run", cfg]) == 0
         rows = read_rows(tmp_path / "sweep.csv")
         assert len(rows) == 1 + 2 * 2 * 3
+        # rows run over instances, then mechanisms, then distributions, and each
+        # equals its cell's own gap report although the cells share trials
+        cells = product(
+            [Instance((1, 1)), Instance((2, 1))],
+            [MechanismSpec(k) for k in ("rs", "hql", "rsbs")],
+            [DistributionSpec.iid_uniform01(), DistributionSpec.favorite_bundle_uniform(1.0, 0.0)],
+        )
+        for row, (inst, mech, dist) in zip(rows[1:], cells):
+            gap = gap_report(mech, inst, dist, 400, 3)
+            rep = gap.estimate
+            expected = (rep.mean_opt, rep.mean_sw, rep.distortion_estimate, rep.stderr_ratio)
+            assert row[2:5] == ["|".join(map(str, inst.quotas)), mech.label(), dist.label()]
+            assert row[7:] == [cli._fmt(x) for x in (*expected, gap.benchmark_lb, gap.gap_ratio)]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from ordmatch import Instance, RandomStream
 from ordmatch.distributions import (
@@ -208,3 +212,31 @@ class TestUFAudit:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             uf_audit(DistributionSpec.iid_uniform01(), Instance((1, 1)), 0, RandomStream(0))
+
+
+class TestChiSquareTail:
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, ordmatch, ordmatch.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_audit_p_values_match_scipy_stats(self):
+        from scipy.stats import chi2
+
+        cases = [
+            (Instance((3, 2, 1)), DistributionSpec.exchangeable_permutation([0.0, 0.5, 1.0, 0.0, 0.5, 1.0])),
+            (Instance((2, 3, 4)), DistributionSpec.favorite_bundle_uniform(1.0, 0.0)),
+            (Instance((1, 1)), DistributionSpec.iid_uniform01()),
+            (Instance((5, 1)), DistributionSpec.iid_bernoulli(0.3)),
+            (Instance((4,)), DistributionSpec.iid_uniform01()),
+        ]
+        audits = [a for inst, spec in cases for a in uf_audit(spec, inst, 700, RandomStream(23)).per_agent]
+        assert any(a.dof == 0 for a in audits)
+        for a in audits:
+            expected = float(chi2.sf(a.chi2_stat, a.dof)) if a.dof > 0 else 1.0
+            assert a.p_value.hex() == expected.hex(), (a.agent, a.chi2_stat, a.dof)
+        # the tail itself, bit for bit, over statistics from 0 to far out and every audit dof
+        stats = np.concatenate(([0.0], np.geomspace(1e-6, 5e3, 400)))
+        for dof in range(1, 925):  # C(12, 6) - 1 is the largest dof an audit can have
+            assert np.array_equal(chdtrc(dof, stats), chi2.sf(stats, dof)), dof

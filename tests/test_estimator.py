@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from ordmatch import (
     RandomStream,
     estimate_assignment_probs,
     estimate_distortion,
+    estimate_distortions,
     gap_report,
     run_lb_secretary,
     run_lb_theorem1,
@@ -40,7 +42,7 @@ class TestDistortionEstimates:
     def test_per_trial_dominance_exact(self):
         inst = Instance((2, 2, 1))
         sw, opt_vals = estimator._collect_distortion(
-            MechanismSpec.rsbs(), DistributionSpec.iid_bernoulli(0.4), inst, 3_000, 44, 1
+            (MechanismSpec.rsbs(),), DistributionSpec.iid_bernoulli(0.4), inst, 3_000, 44, 1
         )
         assert np.all(sw <= opt_vals)
 
@@ -109,10 +111,10 @@ class TestBatchMatchesReference:
         inst = Instance(quotas)
         for mech in self.MECHS:
             for dist in self.DISTS:
-                batch = estimator._collect_distortion(mech, dist, inst, 200, 49, 1)
+                (sw,), opt_vals = estimator._collect_distortion((mech,), dist, inst, 200, 49, 1)
                 ref = estimator._reference_distortion_arrays(mech, dist, inst, 200, 49)
-                assert np.array_equal(batch[0], ref[0]), (mech.label(), dist.label())
-                assert np.array_equal(batch[1], ref[1]), (mech.label(), dist.label())
+                assert np.array_equal(sw, ref[0]), (mech.label(), dist.label())
+                assert np.array_equal(opt_vals, ref[1]), (mech.label(), dist.label())
 
     @pytest.mark.parametrize("quotas", [(1, 1, 1, 1), (3, 2, 1)])
     def test_prob_counts_bitwise_equal(self, quotas):
@@ -151,7 +153,7 @@ class TestBatchMatchesReference:
         inst = Instance((3, 1, 1))
         mechs = [MechanismSpec(kind) for kind in mechanisms.KINDS]
         base = {m.kind: self.reports(m, inst, 300, 54) for m in mechs}
-        arrays = {m.kind: estimator._collect_distortion(m, UNIFORM, inst, 300, 54, 1) for m in mechs}
+        arrays = {m.kind: estimator._collect_distortion((m,), UNIFORM, inst, 300, 54, 1) for m in mechs}
         for batch in (1, 7, 97, 5_000):
             monkeypatch.setattr(estimator, "_batch_size", lambda inst: batch)
             for mech in mechs:
@@ -159,7 +161,7 @@ class TestBatchMatchesReference:
                 assert dist_rep == base[mech.kind][0], (mech.kind, batch)
                 assert_same_probs(base[mech.kind][1], probs)
                 # per-trial arrays come back in trial order
-                sw, opt_vals = estimator._collect_distortion(mech, UNIFORM, inst, 300, 54, 2)
+                sw, opt_vals = estimator._collect_distortion((mech,), UNIFORM, inst, 300, 54, 2)
                 assert np.array_equal(sw, arrays[mech.kind][0]) and np.array_equal(opt_vals, arrays[mech.kind][1])
 
     @staticmethod
@@ -207,6 +209,57 @@ def assert_same_probs(a, b):
             assert np.array_equal(x, y), field
 
 
+class TestSharedTrials:
+    """estimate_distortions runs many mechanisms on one pass over the trials;
+    each report must be the bits of that mechanism's own call."""
+
+    MECHS = tuple(MechanismSpec(kind, complete=c) for kind in mechanisms.KINDS for c in (False, True)) + (
+        MechanismSpec.serial_dictator([2, 0, 1]),
+        MechanismSpec.serial_dictator([2, 0, 1], complete=True),
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch", [7, 5_000])
+    def test_each_report_equals_its_own_call(self, monkeypatch, workers, batch):
+        inst = Instance((3, 2, 1))
+        monkeypatch.setattr(estimator, "_batch_size", lambda inst: batch)
+        for dist in (UNIFORM, DistributionSpec.favorite_bundle_uniform(1.0, 0.0)):
+            shared = estimate_distortions(self.MECHS, dist, inst, 150, 63, workers=workers)
+            assert len(shared) == len(self.MECHS)
+            for mech, rep in zip(self.MECHS, shared):
+                alone = estimate_distortion(mech, dist, inst, 150, 63, workers=workers)
+                assert report_bits(rep) == report_bits(alone), (mech.label(), dist.label())
+
+    def test_sw_above_opt_names_mechanism_and_trial(self, monkeypatch):
+        # an optimum of -1 at trial 37 lies below any welfare
+        seen = [0]
+        solve = estimator.opt.optimal_values
+
+        def lowered(inst, values):
+            out = solve(inst, values)
+            t = np.arange(seen[0], seen[0] + len(out))
+            seen[0] += len(out)
+            return np.where(t == 37, -1.0, out)
+
+        monkeypatch.setattr(estimator.opt, "optimal_values", lowered)
+        monkeypatch.setattr(estimator, "_batch_size", lambda inst: 16)
+        sd, rs = MechanismSpec.serial_dictator([2, 0, 1]), MechanismSpec.rs()
+        for mechs, label in (((sd, rs), r"serial-dictator\(2\|0\|1\)"), ((rs, sd), "rs")):
+            seen[0] = 0
+            message = rf"^{label} trial 37: mechanism welfare .* exceeds optimum -1\.0$"
+            with pytest.raises(AssertionError, match=message):
+                estimate_distortions(mechs, UNIFORM, Instance((3, 2, 1)), 60, 64, workers=1)
+
+    def test_rejects_no_mechanism(self):
+        with pytest.raises(ValueError, match="at least one mechanism"):
+            estimate_distortions((), UNIFORM, Instance((1, 1)), 10, 1)
+
+
+def report_bits(rep):
+    """Every field of a report, floats by their exact bits."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(rep)]
+
+
 class TestChunkBudget:
     INSTANCES = [(1,) * 20, (1,) * 50, (5, 4, 3, 2, 1), (2, 2, 1), (1,), (7, 1), (1,) * 1000, (60,) * 40]
 
@@ -231,7 +284,7 @@ class TestChunkBudget:
         dists = (UNIFORM, DistributionSpec.single_agent_adversarial(0), DistributionSpec.lower_bound_bernoulli())
         for kind in mechanisms.KINDS:
             for dist in dists:
-                assert sum(estimator._trial_layout(MechanismSpec(kind), dist, inst)) <= bound
+                assert sum(estimator._trial_layout((MechanismSpec(kind),), dist, inst)) <= bound
 
     def test_oversized_trial_refused_before_allocation(self):
         inst = Instance.one_to_one(20_000)  # about 19 GB for a single trial
@@ -297,7 +350,7 @@ class TestAdversarialReplays:
     def test_replay_ensemble_small_support(self):
         # with 0/1 values and two agents, the optimum is integer 0, 1 or 2
         sw, opt_vals = estimator._collect_distortion(
-            MechanismSpec.rs(), DistributionSpec.lower_bound_bernoulli(), Instance.one_to_one(2), 4_000, 56, 1
+            (MechanismSpec.rs(),), DistributionSpec.lower_bound_bernoulli(), Instance.one_to_one(2), 4_000, 56, 1
         )
         assert set(np.unique(opt_vals)).issubset({0.0, 1.0, 2.0})
         assert np.all(sw <= opt_vals)

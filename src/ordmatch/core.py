@@ -231,16 +231,50 @@ def derive_preferences(profile: ValuationProfile, rng: RngLike) -> PreferencePro
     return PreferenceProfile(inst, top_items(profile.values, tags, inst.m))
 
 
+def fsum_rows(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each row (the last axis) of `x`, bit for bit: the exact
+    sum, rounded once.  Returns the leading shape.
+
+    Every cell is scaled by one power of two, 2**e, chosen so that the block's
+    largest magnitude times the row length stays below 2**62.  A row whose
+    scaled cells are all integers is summed exactly in int64, and the one cast
+    of that sum to float64 is the correct rounding.  Scaling it back by 2**-e
+    is exact: a normal result keeps its bits, and a subnormal one was not
+    rounded by the cast, since every float is a multiple of 2**-1074, so a sum
+    below 2**-1022 has at most 52 significant bits.  Rows off that grid, and
+    blocks that are not finite or large enough to overflow (e < -960), get
+    math.fsum, which also raises its OverflowError.  Neither path returns
+    -0.0.  Uniforms (multiples of 2**-53) and 0/1 values take the int64 path.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    k = x.shape[-1]
+    rows = x.reshape(math.prod(x.shape[:-1]), k)
+    out = np.zeros(rows.shape[0])
+    if rows.size:
+        top = float(np.abs(rows).max())
+        e = 62 - max(k - 1, 1).bit_length() - math.frexp(top)[1]
+        exact = np.zeros(rows.shape[0], dtype=bool)
+        if math.isfinite(top) and e >= -960:
+            scaled = np.ldexp(rows, e)
+            on_grid = scaled == np.trunc(scaled)
+            if e < 0:  # a cell may have underflowed to zero
+                on_grid &= (scaled != 0.0) | (rows == 0.0)
+            exact = on_grid.all(axis=-1)
+            out = np.ldexp(scaled.astype(np.int64).sum(axis=-1).astype(np.float64), -e)
+        for r in np.flatnonzero(~exact).tolist():
+            out[r] = math.fsum(rows[r].tolist())
+    return out.reshape(x.shape[:-1])
+
+
 def welfare(values: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Total value agents place on the items they hold: one exactly rounded
-    math.fsum per trial, so sweeps and Monte Carlo aggregates do not drift.
+    """Total value agents place on the items they hold: one correctly rounded
+    sum per trial (`fsum_rows`: exact int64 sums, math.fsum as the fallback),
+    so sweeps and Monte Carlo aggregates do not drift.
 
     `values` has shape (..., n, m) and the item -> agent `assignment` shape
     (..., m); an UNASSIGNED item adds nothing.  Returns the leading shape."""
     held = np.take_along_axis(values, np.maximum(assignment, 0)[..., None, :], axis=-2)[..., 0, :]
-    held = np.where(assignment >= 0, held, 0.0)
-    sums = [math.fsum(row) for row in held.reshape(-1, held.shape[-1]).tolist()]
-    return np.array(sums, dtype=np.float64).reshape(held.shape[:-1])
+    return fsum_rows(np.where(assignment >= 0, held, 0.0))
 
 
 def social_welfare(matching: Matching, profile: ValuationProfile) -> float:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .core import Instance, RngLike, ValuationProfile, as_generator, top_items
 
@@ -213,6 +212,8 @@ def uf_audit(spec: DistributionSpec, inst: Instance, trials: int, rng: RngLike) 
     if trials < 1:
         raise ValueError("trials must be positive")
     validate_for_instance(spec, inst)
+    from scipy.special import chdtrc  # imported here to keep scipy off ordmatch's import path
+
     gen = as_generator(rng)
     n, m = inst.n, inst.m
 

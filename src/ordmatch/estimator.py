@@ -4,8 +4,10 @@ probabilities, and the replay experiments for the adversarial constructions.
 Reproducibility contract: trial t draws every uniform it needs, in one fixed
 layout (sample block, tie-tag block, mechanism block), from
 RandomStream(seed, t).  Per-trial results are reduced in ascending trial
-order with exact (fsum) summation, so reports are bitwise identical no matter
-how trials are chunked or how many worker processes run them.
+order with correctly rounded summation (`core.fsum_rows`: an exact int64 sum
+where every term lies on one power-of-two grid, math.fsum otherwise), so
+reports are bitwise identical no matter how trials are chunked or how many
+worker processes run them.
 
 RandomStream is counter-based (Philox), so a longer fill of trial t's stream
 begins with exactly the draws of a shorter one.  That prefix property lets
@@ -48,6 +50,7 @@ from .core import (
     complete_assignment,
     derive_preferences,
     favorite_pairs,
+    fsum_rows,
     social_welfare,
     top_items,
     welfare,
@@ -371,7 +374,7 @@ def _collect_probs(
 
 
 def _mean(x: np.ndarray) -> float:
-    return math.fsum(x.tolist()) / len(x)
+    return float(fsum_rows(x)) / len(x)
 
 
 def _variance(x: np.ndarray, mean: float) -> float:
@@ -386,7 +389,7 @@ def _variance(x: np.ndarray, mean: float) -> float:
 def _covariance(x: np.ndarray, y: np.ndarray, mx: float, my: float) -> float:
     if len(x) < 2:
         return 0.0
-    return math.fsum(((x - mx) * (y - my)).tolist()) / (len(x) - 1)
+    return float(fsum_rows((x - mx) * (y - my))) / (len(x) - 1)
 
 
 def wilson_half_width(successes: int, trials: int, z: float = WILSON_Z) -> float:
@@ -402,11 +405,19 @@ def _ratio_stderr(mo: float, ms: float, vo: float, vs: float, cov: float, trials
     return math.sqrt(max(var, 0.0))
 
 
-def _build_estimate(sw: np.ndarray, opt_vals: np.ndarray, trials: int, seed: int) -> EstimateReport:
-    mean_sw = _mean(sw)
+def _opt_stats(opt_vals: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the optimum, shared by every mechanism of a call."""
     mean_opt = _mean(opt_vals)
+    return mean_opt, _variance(opt_vals, mean_opt)
+
+
+def _build_estimate(
+    sw: np.ndarray, opt_vals: np.ndarray, opt_stats: tuple[float, float], trials: int, seed: int
+) -> EstimateReport:
+    """The report of one mechanism; `opt_stats` is `_opt_stats(opt_vals)`."""
+    mean_sw = _mean(sw)
+    mean_opt, var_opt = opt_stats
     var_sw = _variance(sw, mean_sw)
-    var_opt = _variance(opt_vals, mean_opt)
     cov = _covariance(opt_vals, sw, mean_opt, mean_sw)
     if mean_sw > 0.0:
         ratio = mean_opt / mean_sw
@@ -459,7 +470,8 @@ def estimate_distortions(
     mechanism sees the same profiles, and the optimum is solved once."""
     mechs = tuple(mechs)
     sw, opt_vals = _collect_distortion(mechs, dist, inst, trials, seed, _resolve_workers(workers))
-    return [_build_estimate(row, opt_vals, trials, seed) for row in sw]
+    stats = _opt_stats(opt_vals)
+    return [_build_estimate(row, opt_vals, stats, trials, seed) for row in sw]
 
 
 def estimate_assignment_probs(

@@ -19,6 +19,11 @@ once per chunk.  `optimal_value` runs it on a batch of one and
 `optimal_matching` completes the batch-of-one assignment to exact quotas, so
 every caller runs the engine's code.  A tiny enumeration oracle, kept for
 cross-validation, shares no code with the solver.
+
+scipy's assignment routine is imported on first use, by
+`linear_sum_assignment`: importing ordmatch loads no scipy module, and
+neither does a run that never reaches step 2 (probability tables, or
+favorite-bundle profiles with lo = 0).
 """
 
 from __future__ import annotations
@@ -26,11 +31,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import UNASSIGNED, Instance, Matching, ValuationProfile, complete_assignment, welfare
 
 BRUTE_FORCE_MAX_ITEMS = 8
+
+_scipy_lsap = None
+
+
+def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.optimize.linear_sum_assignment, imported on the first call."""
+    global _scipy_lsap
+    if _scipy_lsap is None:
+        from scipy.optimize import linear_sum_assignment as _scipy_lsap
+    return _scipy_lsap(cost, maximize=maximize)
 
 
 @dataclass(frozen=True, eq=False)

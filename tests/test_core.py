@@ -17,7 +17,7 @@ from ordmatch import (
     derive_preferences,
     social_welfare,
 )
-from ordmatch.core import top_items, welfare
+from ordmatch.core import fsum_rows, top_items, welfare
 from ordmatch.distributions import DistributionSpec, sample_profile
 from ordmatch.opt import optimal_matching
 
@@ -221,6 +221,111 @@ def test_welfare_is_not_a_plain_sum():
     values = np.array([[1e16, 1.0, 1.0], [5.0, 5.0, 5.0]])
     assert welfare(values, np.array([0, 0, 0])) == 1e16 + 2.0
     assert welfare(values, np.array([UNASSIGNED, 1, UNASSIGNED])) == 5.0
+
+
+def fsum_each(block: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(row) for row in block.tolist()])
+
+
+def assert_fsum_rows_matches(block: np.ndarray) -> None:
+    """fsum_rows equals math.fsum row by row, bit for bit, and raises the
+    same OverflowError when fsum does."""
+    try:
+        expected = fsum_each(block)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            fsum_rows(block)
+        return
+    got = fsum_rows(block)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (got, expected)
+
+
+# Base exponents of the generated cells: subnormal, around the normal range's
+# bottom, ordinary, and near the top (2**1000 times 600 cells still fits).
+FSUM_BASES = [-1074, -1070, -1040, -1022, -1000, -80, -53, -20, 0, 30, 900, 1000]
+
+
+@st.composite
+def fsum_blocks(draw) -> np.ndarray:
+    """A (rows, k) float block of one of four kinds: cells from a palette of
+    arbitrary finite floats; cells on one power-of-two grid (mantissas of
+    random width, mixed signs, so some rows fit the int64 path and some do
+    not); exact half-ulp ties; rows mixing exponents far apart."""
+    rows, k = draw(st.integers(1, 3)), draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(["palette", "grid", "tie", "far"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows, k)
+    if kind == "palette":
+        palette = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+        return rng.choice(np.array(palette + [0.0, -0.0]), shape)
+    base = draw(st.sampled_from(FSUM_BASES))
+    if kind == "grid":
+        width = draw(st.integers(1, 53))
+        mantissas = rng.integers(-(2**width) + 1, 2**width, shape)
+        return np.ldexp(mantissas.astype(np.float64), max(base - width, -1074) + rng.integers(0, 4, shape))
+    if kind == "tie":
+        # a + ulp(a)/2 lies halfway between two floats; the half may come in
+        # two quarters, and zeros pad the row
+        base = max(base, -960)
+        block = np.zeros(shape)
+        a = np.ldexp(rng.integers(2**52, 2**53, rows).astype(np.float64), base - 52)
+        a *= rng.choice([-1.0, 1.0], rows)
+        block[:, 0] = a
+        half = np.ldexp(rng.choice([-1.0, 1.0], rows), base - 53)
+        if k >= 3 and draw(st.booleans()):
+            block[:, 1] = block[:, 2] = half / 2
+        elif k >= 2:
+            block[:, 1] = half
+        return rng.permuted(block, axis=1)
+    # far: one big cell and others at least 63 binades below it
+    block = np.ldexp(rng.random(shape), rng.integers(-1074, max(base - 63, -1073), shape))
+    block[:, 0] = np.ldexp(rng.random(rows) + 1.0, base)
+    block *= rng.choice([-1.0, 1.0], shape)
+    return block
+
+
+@settings(max_examples=250, deadline=None)
+@given(block=fsum_blocks())
+def test_fsum_rows_is_fsum_bit_for_bit(block):
+    assert_fsum_rows_matches(block)
+
+
+def test_fsum_rows_edge_blocks():
+    tiny = 2.0**-1074
+    blocks = [
+        [[1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [1.0, -(2.0**-54)]],  # ties to even, and below
+        [[2.0**1000, 2.0**-1000]],  # a cell that would underflow when scaled
+        [[2.0**1000, -(2.0**1000)], [2.0**-1000, 0.0]],  # the same across rows
+        [[tiny, tiny, -tiny]],  # subnormals
+        [[3 * tiny, 2.0**-1022, -tiny]],  # a sum crossing into the normal range
+        [[-0.0], [-0.0]],  # fsum never returns -0.0
+        [[-0.0, 0.0, -0.0]],
+        [[1e308, 1e308]],  # overflow raises, as fsum does
+        [[1e308, 1e308, -1e308]],  # so does an intermediate one
+    ]
+    for rows in blocks:
+        assert_fsum_rows_matches(np.array(rows))
+    assert fsum_rows(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    assert fsum_rows(np.arange(6.0).reshape(1, 2, 3)).shape == (1, 2)
+
+
+def test_fsum_rows_sums_uniforms_and_0_1_rows_in_int64(monkeypatch):
+    gen = RandomStream(5).generator()
+    blocks = [
+        gen.random((426, 20)),
+        gen.random((500, 6)),
+        (gen.random((69, 50)) < 0.3).astype(np.float64),
+        np.ldexp(gen.integers(-(2**45), 2**45, (50, 8)).astype(np.float64), -1074),  # subnormal sums
+    ]
+    expected = [fsum_each(b) for b in blocks]
+
+    def refuse(*args):
+        raise AssertionError("a row fell back to math.fsum")
+
+    monkeypatch.setattr(math, "fsum", refuse)
+    for block, want in zip(blocks, expected):
+        assert np.array_equal(fsum_rows(block).view(np.int64), want.view(np.int64))
 
 
 class TestCompleteMatching:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -216,10 +217,31 @@ class TestUFAudit:
 
 class TestChiSquareTail:
     def test_import_leaves_scipy_stats_out(self):
-        code = "import sys, ordmatch, ordmatch.cli; print('scipy.stats' in sys.modules)"
+        # importing ordmatch and a probability run load no scipy module; the
+        # first trial that needs the assignment solver loads scipy.optimize
+        code = """if True:
+            import json, sys
+            import numpy as np
+            import ordmatch, ordmatch.cli
+            from ordmatch import DistributionSpec, Instance, MechanismSpec, ValuationProfile, opt
+
+            def scipy_modules():
+                return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+            ordmatch.estimate_assignment_probs(MechanismSpec.rs(), DistributionSpec.iid_uniform01(), Instance((2, 1)), 40, 3)
+            before = scipy_modules()
+            inst = Instance.one_to_one(4)
+            values = np.random.default_rng(9).random((4, 4))
+            value = opt.optimal_value(inst, values)
+            brute = opt.brute_force_opt(inst, ValuationProfile(inst, values))
+            print(json.dumps([before, "scipy.optimize" in sys.modules, value, brute]))
+        """
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "False"
+        before, loaded, value, brute = json.loads(out.stdout)
+        assert before == []
+        assert loaded
+        assert value == pytest.approx(brute, abs=1e-12)
 
     def test_audit_p_values_match_scipy_stats(self):
         from scipy.stats import chi2

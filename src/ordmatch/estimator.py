@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -335,6 +334,8 @@ def _map_chunks(
     groups = min(workers, len(ranges))
     if groups <= 1:
         return _run_group(fn, task, ranges)
+    from concurrent.futures import ProcessPoolExecutor  # imported here to keep multiprocessing off serial runs
+
     size = -(-len(ranges) // groups)
     parts = [ranges[k : k + size] for k in range(0, len(ranges), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -20,14 +20,23 @@ once per chunk.  `optimal_value` runs it on a batch of one and
 every caller runs the engine's code.  A tiny enumeration oracle, kept for
 cross-validation, shares no code with the solver.
 
-scipy's assignment routine is imported on first use, by
-`linear_sum_assignment`: importing ordmatch loads no scipy module, and
-neither does a run that never reaches step 2 (probability tables, or
-favorite-bundle profiles with lo = 0).
+The assignment routine is scipy's compiled shortest-augmenting-path solver
+(Crouse, "On implementing 2D rectangular assignment algorithms", IEEE TAES
+2016).  `linear_sum_assignment` loads it on its first call straight from the
+extension module `scipy.optimize._lsap`, without running
+`scipy/optimize/__init__.py` and its few hundred submodules: importing
+ordmatch loads no scipy module, a run that never reaches step 2 (probability
+tables, or favorite-bundle profiles with lo = 0) loads no scipy code at all,
+and a solver run leaves `scipy.optimize` out of `sys.modules`.  The function
+loaded is the very object `scipy.optimize.linear_sum_assignment` exports.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +48,43 @@ BRUTE_FORCE_MAX_ITEMS = 8
 _scipy_lsap = None
 
 
+def _scipy_optimize_dir() -> str | None:
+    """scipy's `optimize` package directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    return os.path.join(spec.submodule_search_locations[0], "optimize")
+
+
+def _load_lsap():
+    """scipy's compiled `linear_sum_assignment`, loaded from the extension
+    file `_lsap` with no `sys.modules` entry; the public import when no such
+    file exists."""
+    directory = _scipy_optimize_dir()
+    if directory is not None:
+        finder = importlib.machinery.FileFinder(
+            directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        )
+        spec = finder.find_spec("scipy.optimize._lsap")
+        if spec is not None:
+            present = spec.name in sys.modules
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if not present:
+                # a single-phase extension registers itself under its full
+                # name; without its parent package that entry would be stray
+                sys.modules.pop(spec.name, None)
+            return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment as public
+
+    return public
+
+
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """scipy.optimize.linear_sum_assignment, imported on the first call."""
+    """scipy's linear_sum_assignment, loaded on the first call."""
     global _scipy_lsap
     if _scipy_lsap is None:
-        from scipy.optimize import linear_sum_assignment as _scipy_lsap
+        _scipy_lsap = _load_lsap()
     return _scipy_lsap(cost, maximize=maximize)
 
 
@@ -61,14 +102,18 @@ def _optimal_assignments(inst: Instance, values: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a (batch, {n}, {m}) value stack, got shape {values.shape}")
     batch = values.shape[0]
     owner = values.argmax(axis=1)
-    valued = values.max(axis=1) > 0
+    valued = np.take_along_axis(values, owner[:, None], axis=1)[:, 0] > 0
     loads = np.bincount((owner + n * np.arange(batch)[:, None])[valued], minlength=batch * n)
     assignment = np.where(valued, owner, UNASSIGNED)
+    solve = np.flatnonzero((loads.reshape(batch, n) > inst.quota_array).any(axis=1))
+    # the slot-expanded matrix is square (m = sum b_i), so the solver's row
+    # indices are 0..m-1 and column cols[row, r] goes to slot r
     slots = np.repeat(np.arange(n), inst.quotas)
-    for k in np.flatnonzero((loads.reshape(batch, n) > inst.quota_array).any(axis=1)).tolist():
+    cols = np.empty((solve.size, m), dtype=np.intp)
+    for row, k in enumerate(solve.tolist()):
         v = values[k]
-        r_idx, c_idx = linear_sum_assignment(v if m == n else v[slots], maximize=True)
-        assignment[k, c_idx] = slots[r_idx]
+        cols[row] = linear_sum_assignment(v if m == n else v[slots], maximize=True)[1]
+    assignment[solve[:, None], cols] = slots
     return assignment
 
 

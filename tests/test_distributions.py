@@ -217,8 +217,9 @@ class TestUFAudit:
 
 class TestChiSquareTail:
     def test_import_leaves_scipy_stats_out(self):
-        # importing ordmatch and a probability run load no scipy module; the
-        # first trial that needs the assignment solver loads scipy.optimize
+        # importing ordmatch and a probability run load no scipy module and no
+        # process pool; the first solver trial loads only scipy's compiled
+        # assignment module, which is the function scipy.optimize exports
         code = """if True:
             import json, sys
             import numpy as np
@@ -230,18 +231,24 @@ class TestChiSquareTail:
 
             ordmatch.estimate_assignment_probs(MechanismSpec.rs(), DistributionSpec.iid_uniform01(), Instance((2, 1)), 40, 3)
             before = scipy_modules()
+            pool = "concurrent.futures.process" in sys.modules
             inst = Instance.one_to_one(4)
             values = np.random.default_rng(9).random((4, 4))
             value = opt.optimal_value(inst, values)
+            after = scipy_modules()
             brute = opt.brute_force_opt(inst, ValuationProfile(inst, values))
-            print(json.dumps([before, "scipy.optimize" in sys.modules, value, brute]))
+            import scipy.optimize
+            same = scipy.optimize.linear_sum_assignment is opt._scipy_lsap
+            print(json.dumps([before, pool, after, value, brute, same]))
         """
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        before, loaded, value, brute = json.loads(out.stdout)
+        before, pool, after, value, brute, same = json.loads(out.stdout)
         assert before == []
-        assert loaded
+        assert not pool
+        assert after == []  # not even scipy.optimize
         assert value == pytest.approx(brute, abs=1e-12)
+        assert same
 
     def test_audit_p_values_match_scipy_stats(self):
         from scipy.stats import chi2

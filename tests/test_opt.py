@@ -242,15 +242,29 @@ def test_column_maximum_shortcut_skips_the_solver(monkeypatch):
             assert np.array_equal(optimal_values(inst, stack), expected)
 
 
+def needs_solver(inst, v):
+    """True when giving each positive column to its first maximum overloads
+    an agent, so the column-maximum shortcut cannot settle the trial."""
+    cols = np.flatnonzero(v.max(axis=0) > 0)
+    loads = np.bincount(v[:, cols].argmax(axis=0), minlength=inst.n)
+    return bool((loads > inst.quota_array).any())
+
+
 def test_solver_trials_skip_the_filtering_solver(monkeypatch):
     # dense and sparse trials the shortcut cannot settle both go straight to
-    # the assignment routine on the slot-expanded matrix
+    # the assignment routine on the slot-expanded matrix, one call each, and
+    # a stack mixing them with shortcut-settled trials solves only the former
     rng = np.random.default_rng(77)
     for quotas in [(3, 2, 1), (1,) * 6, (4, 4)]:
         inst = Instance(quotas)
         shape = (40, inst.n, inst.m)
-        for stack in [rng.random(shape) + 0.01, (rng.random(shape) < 0.3) * rng.random(shape)]:
+        bundles = np.stack([draw_profile("bundle-hi-lo", inst, rng) == 1.0 for _ in range(20)])
+        mixed = np.concatenate([bundles.astype(np.float64), rng.random((20, inst.n, inst.m)) + 0.01])
+        mixed = mixed[rng.permutation(len(mixed))]
+        for stack in [rng.random(shape) + 0.01, (rng.random(shape) < 0.3) * rng.random(shape), mixed]:
             expected = np.array([reference_value(inst, v) for v in stack])
+            single = np.array([optimal_value(inst, v) for v in stack])
+            solvers = sum(needs_solver(inst, v) for v in stack)
             solves = []
 
             def counting_lsap(*args, **kwargs):
@@ -259,8 +273,42 @@ def test_solver_trials_skip_the_filtering_solver(monkeypatch):
 
             with monkeypatch.context() as patch:
                 patch.setattr(opt, "linear_sum_assignment", counting_lsap)
-                assert np.array_equal(optimal_values(inst, stack).view(np.int64), expected.view(np.int64))
-            assert solves
+                got = optimal_values(inst, stack)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(got.view(np.int64), single.view(np.int64))
+            assert 0 < len(solves) == solvers
+        assert solvers < len(mixed)  # the mixed stack has shortcut-settled trials too
+
+
+def test_solver_loads_from_the_compiled_module(monkeypatch, tmp_path):
+    # on the installed scipy the solver is read from its extension file, not
+    # through the public import; with no such file the public import stands
+    # in, and the optimum stays bit for bit the same
+    import scipy.optimize
+
+    public = scipy.optimize.linear_sum_assignment
+    calls = []
+
+    def marked(*args, **kwargs):
+        calls.append(1)
+        return public(*args, **kwargs)
+
+    inst = Instance.one_to_one(6)
+    stack = np.random.default_rng(78).random((30, 6, 6))
+    expected = optimal_values(inst, stack)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "linear_sum_assignment", marked)
+        patch.setattr(opt, "_scipy_lsap", None)
+        light = optimal_values(inst, stack)
+        assert opt._scipy_lsap is public
+        assert not calls
+        patch.setattr(opt, "_scipy_lsap", None)
+        patch.setattr(opt, "_scipy_optimize_dir", lambda: str(tmp_path))
+        fallback = optimal_values(inst, stack)
+        assert opt._scipy_lsap is marked
+        assert calls
+    for got in (light, fallback):
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_optimal_values_rejects_wrong_shape():

@@ -13,7 +13,7 @@ from .core import (
     derive_preferences,
     social_welfare,
 )
-from .distributions import DistributionSpec, UFAuditReport, sample_profile, uf_audit
+from .distributions import DistributionSpec, sample_profile
 from .mechanisms import MechanismSpec, run_mechanism
 from .opt import OptResult, brute_force_opt, optimal_matching, optimal_value
 from .estimator import (
@@ -22,12 +22,14 @@ from .estimator import (
     ProbMatrixReport,
     SecretaryGapReport,
     OneToOneReplayReport,
+    UFAuditReport,
     estimate_assignment_probs,
     estimate_distortion,
     estimate_distortions,
     gap_report,
     run_lb_secretary,
     run_lb_theorem1,
+    uf_audit,
 )
 
 __all__ = [

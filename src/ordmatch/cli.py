@@ -3,8 +3,8 @@
 Subcommands: run, probs, curve, optcheck, ufaudit.  Experiment cells come
 from a JSON config file; command-line flags override config fields.  All
 output CSVs are deterministic given --seed (LF line endings, 12 significant
-digits).  The ORDMATCH_THREADS environment variable caps estimator workers
-(0 = one per CPU, unset = serial).
+digits).  The ORDMATCH_THREADS environment variable caps the worker
+processes of run, probs and ufaudit (0 = one per CPU, unset = serial).
 
 Exit codes: 0 success, 2 usage or config error, 3 assertion or oracle failure.
 """
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import analytics, estimator
 from .core import Instance, RandomStream
-from .distributions import DistributionSpec, sample_profile, uf_audit
-from .mechanisms import KINDS, MechanismSpec, q_exact_per_agent
+from .distributions import DistributionSpec, sample_profile
+from .mechanisms import MechanismSpec, q_exact_per_agent
 from .opt import brute_force_opt, optimal_matching, optimal_value
 
 OPTCHECK_TOL = 1e-9
@@ -94,6 +94,15 @@ def _geometric_quotas(n: int, m: int, ratio: float) -> tuple[int, ...]:
     for k in range(leftover):
         base[order[k]] += 1
     return tuple(int(1 + b) for b in base)
+
+
+def split_quotas(gen: np.random.Generator, n: int, m: int) -> tuple[int, ...]:
+    """n positive quotas summing to m, cut at n - 1 distinct random places
+    among the m - 1 gaps between items; draws nothing when n == 1."""
+    if n == 1:
+        return (m,)
+    cuts = np.sort(gen.choice(m - 1, size=n - 1, replace=False)) + 1
+    return tuple(int(b) for b in np.diff(cuts, prepend=0, append=m))
 
 
 def _parse_instance(cfg, where: str) -> Instance:
@@ -169,8 +178,6 @@ def _parse_mechanism(cfg, where: str, default_complete: bool) -> MechanismSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected an object")
     name = _require(cfg, "name", where)
-    if name not in KINDS:
-        raise ConfigError(f"{where}.name: unknown mechanism {name!r}")
     complete = _as_bool(cfg.get("complete", default_complete), f"{where}.complete")
     order = cfg.get("order")
     if order is not None:
@@ -374,13 +381,7 @@ def cmd_optcheck(args) -> int:
     for case in range(args.cases):
         m = int(gen.integers(1, args.max_m + 1))
         n = int(gen.integers(1, m + 1))
-        if n == 1:
-            quotas = (m,)
-        else:
-            cuts = np.sort(gen.choice(m - 1, size=n - 1, replace=False)) + 1
-            bounds = np.concatenate(([0], cuts, [m]))
-            quotas = tuple(int(b) for b in np.diff(bounds))
-        inst = Instance(quotas)
+        inst = Instance(split_quotas(gen, n, m))
         profile = sample_profile(spec, inst, gen)
         brute = brute_force_opt(inst, profile)
         # the engine's batched oracle and the matching solver
@@ -404,7 +405,7 @@ def cmd_ufaudit(args) -> int:
     if len(cfg["instances"]) != 1 or len(cfg["distributions"]) != 1:
         raise ConfigError("ufaudit needs exactly one instance and one distribution")
     inst, dist = cfg["instances"][0], cfg["distributions"][0]
-    report = uf_audit(dist, inst, cfg["trials"], RandomStream(cfg["seed"]))
+    report = estimator.uf_audit(dist, inst, cfg["trials"], cfg["seed"])
     with open(cfg["output"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["agent", "subset", "observed", "expected", "frequency", "chi2", "dof", "p_value"])

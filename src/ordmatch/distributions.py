@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import combinations
 
 import numpy as np
 
-from .core import Instance, RngLike, ValuationProfile, as_generator, top_items
+from .core import Instance, RngLike, ValuationProfile, as_generator
 
 # The spec fields each kind takes, with the default of an optional field
 # (None marks a required one).  A field outside its kind's entry must stay None.
@@ -38,10 +37,6 @@ _FIELDS: dict[str, dict[str, object]] = {
 }
 
 KINDS = tuple(_FIELDS)
-
-UF_AUDIT_MAX_ITEMS = 12
-# trials per audit batch; part of the draw order, so fixed: one seed, one audit
-UF_AUDIT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -176,90 +171,3 @@ def sample_profile(spec: DistributionSpec, inst: Instance, rng: RngLike) -> Valu
     gen = as_generator(rng)
     u = gen.random(sample_draw_count(spec, inst))
     return ValuationProfile(inst, values_from_uniforms(spec, inst, u))
-
-
-@dataclass(frozen=True, eq=False)
-class AgentAudit:
-    agent: int
-    subsets: tuple[tuple[int, ...], ...]
-    counts: np.ndarray
-    expected: float
-    chi2_stat: float
-    dof: int
-    p_value: float
-
-
-@dataclass(frozen=True)
-class UFAuditReport:
-    per_agent: tuple[AgentAudit, ...]
-    trials: int
-
-    def min_p_value(self) -> float:
-        return min(a.p_value for a in self.per_agent)
-
-
-def uf_audit(spec: DistributionSpec, inst: Instance, trials: int, rng: RngLike) -> UFAuditReport:
-    """Tabulate observed favorite-bundle frequencies against the uniform
-    distribution over b_i-subsets and report a chi-square statistic per agent.
-
-    Favorite sets are taken after uniform tie resolution, exactly as the
-    mechanisms see them.  Restricted to m <= 12 so the subset tables stay
-    enumerable.  Each batch of UF_AUDIT_CHUNK trials draws its value block,
-    then its tag block, from `rng`.
-    """
-    if inst.m > UF_AUDIT_MAX_ITEMS:
-        raise ValueError(f"audit supports at most {UF_AUDIT_MAX_ITEMS} items, got {inst.m}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    validate_for_instance(spec, inst)
-    from scipy.special import chdtrc  # imported here to keep scipy off ordmatch's import path
-
-    gen = as_generator(rng)
-    n, m = inst.n, inst.m
-
-    subsets = [tuple(combinations(range(m), b)) for b in inst.quotas]
-    # bitmask -> cell index per agent; masks fit in 2**m <= 4096 entries
-    lookup = np.full((n, 2**m), -1, dtype=np.int64)
-    for i, subs in enumerate(subsets):
-        for k, s in enumerate(subs):
-            mask = 0
-            for g in s:
-                mask |= 1 << g
-            lookup[i, mask] = k
-    counts = [np.zeros(len(subs), dtype=np.int64) for subs in subsets]
-
-    d_sample = sample_draw_count(spec, inst)
-    done = 0
-    while done < trials:
-        batch = min(UF_AUDIT_CHUNK, trials - done)
-        u_vals = gen.random((batch, d_sample))
-        u_tags = gen.random((batch, n * m)).reshape(batch, n, m)
-        values = values_from_uniforms(spec, inst, u_vals)
-        rankings = top_items(values, u_tags, inst.b_max)
-        for i, b in enumerate(inst.quotas):
-            bits = np.zeros(batch, dtype=np.int64)
-            for t in range(b):
-                bits |= np.int64(1) << rankings[:, i, t]
-            cells = lookup[i, bits]
-            counts[i] += np.bincount(cells, minlength=len(subsets[i]))
-        done += batch
-
-    audits = []
-    for i in range(n):
-        k = len(subsets[i])
-        expected = trials / k
-        stat = float(np.sum((counts[i] - expected) ** 2) / expected)
-        dof = k - 1
-        p = float(chdtrc(dof, stat)) if dof > 0 else 1.0  # the chi-square survival function
-        audits.append(
-            AgentAudit(
-                agent=i,
-                subsets=subsets[i],
-                counts=counts[i],
-                expected=expected,
-                chi2_stat=stat,
-                dof=dof,
-                p_value=p,
-            )
-        )
-    return UFAuditReport(per_agent=tuple(audits), trials=trials)

@@ -17,7 +17,8 @@ ranking and exact optimum once, and hands each mechanism its own layout's
 prefix of the mechanism block.  Each report is bitwise equal to the one
 `estimate_distortion` returns for that mechanism alone.  `ordmatch run` makes
 one such call per (instance, distribution) pair, so all of its mechanisms
-are scored on the same trials.
+are scored on the same trials.  `uf_audit` runs on the same chunks with no
+mechanism block: audit trial t draws estimator trial t's profile and tags.
 
 Trials are executed in vectorized chunks sized from a fixed byte budget
 (CHUNK_BYTES over a per-trial working-set estimate), so the estimated working
@@ -38,7 +39,8 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import repeat
+from functools import partial
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -63,6 +65,8 @@ WILSON_Z = 3.0
 CHUNK_BYTES = 8 * 2**20
 MAX_BATCH = 8192
 MAX_TRIAL_BYTES = 2**30
+
+UF_AUDIT_MAX_ITEMS = 12
 
 
 # --- reports -----------------------------------------------------------------
@@ -146,6 +150,26 @@ class GapReport:
         return cls(estimate=estimate, benchmark_lb=benchmark, gap_ratio=ratio)
 
 
+@dataclass(frozen=True, eq=False)
+class AgentAudit:
+    agent: int
+    subsets: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
+    expected: float
+    chi2_stat: float
+    dof: int
+    p_value: float
+
+
+@dataclass(frozen=True)
+class UFAuditReport:
+    per_agent: tuple[AgentAudit, ...]
+    trials: int
+
+    def min_p_value(self) -> float:
+        return min(a.p_value for a in self.per_agent)
+
+
 # --- engine -------------------------------------------------------------------
 
 
@@ -198,10 +222,10 @@ def _trial_layout(
     mechs: tuple[MechanismSpec, ...], dist: DistributionSpec, inst: Instance
 ) -> tuple[int, int, int]:
     """Sample, tag and mechanism draw counts of one trial; the mechanism
-    block is as wide as the largest layout among `mechs`."""
+    block is as wide as the largest layout among `mechs` (empty for none)."""
     d_sample = distributions.sample_draw_count(dist, inst)
     d_tags = inst.n * inst.m
-    d_mech = max(mechanisms.mechanism_draw_count(mech, inst) for mech in mechs)
+    d_mech = max((mechanisms.mechanism_draw_count(mech, inst) for mech in mechs), default=0)
     return d_sample, d_tags, d_mech
 
 
@@ -290,6 +314,17 @@ def _probs_chunk(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.n
     return got.sum(axis=0, dtype=np.int64), (count * count).sum(axis=0)
 
 
+def _audit_chunk(cells: np.ndarray, task: tuple, block: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """Counts over the flat range of every agent's favorite subsets: each
+    trial adds one to cells[i, mask] per agent i, where mask has a bit set
+    for each of agent i's top b_i items."""
+    inst = task[2]
+    _, top, _ = _chunk_arrays(task, block, t0, t1)
+    favorite = np.arange(inst.b_max) < inst.quota_array[:, None]
+    masks = np.where(favorite, np.left_shift(1, top, dtype=np.int64), 0).sum(axis=-1)
+    return np.bincount(cells[np.arange(inst.n), masks].ravel(), minlength=int(cells.max()) + 1)
+
+
 def _plan(trials: int, batch: int) -> list[tuple[int, int]]:
     return [(t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch)]
 
@@ -310,8 +345,6 @@ def _validated(
     """The parameters of each mechanism, after checking the call."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not mechs:
-        raise ValueError("need at least one mechanism")
     distributions.validate_for_instance(dist, inst)
     return tuple(mechanisms.mechanism_params(mech, inst) for mech in mechs)
 
@@ -470,6 +503,8 @@ def estimate_distortions(
     equal to that mechanism's own call, from one pass over the trials: every
     mechanism sees the same profiles, and the optimum is solved once."""
     mechs = tuple(mechs)
+    if not mechs:
+        raise ValueError("need at least one mechanism")
     sw, opt_vals = _collect_distortion(mechs, dist, inst, trials, seed, _resolve_workers(workers))
     stats = _opt_stats(opt_vals)
     return [_build_estimate(row, opt_vals, stats, trials, seed) for row in sw]
@@ -601,6 +636,40 @@ def gap_report(
 ) -> GapReport:
     """Distortion estimate divided by the per-instance benchmark floor."""
     return GapReport.of(estimate_distortion(mech, dist, inst, trials, seed, workers=workers), inst)
+
+
+def uf_audit(dist: DistributionSpec, inst: Instance, trials: int, seed: int) -> UFAuditReport:
+    """Tabulate observed favorite-bundle frequencies against the uniform
+    distribution over b_i-subsets and report a chi-square statistic per agent.
+
+    Favorite sets are taken after uniform tie resolution, exactly as the
+    mechanisms see them: audit trial t draws the profile and tie tags of
+    estimator trial t from RandomStream(seed, t), so the counts do not depend
+    on chunking or on the ORDMATCH_THREADS worker count.  Restricted to
+    m <= 12 so the subset tables stay enumerable.
+    """
+    if inst.m > UF_AUDIT_MAX_ITEMS:
+        raise ValueError(f"audit supports at most {UF_AUDIT_MAX_ITEMS} items, got {inst.m}")
+    from scipy.special import chdtrc  # imported here to keep scipy off ordmatch's import path
+
+    subsets = [tuple(combinations(range(inst.m), b)) for b in inst.quotas]
+    # (agent, favorite bitmask) -> cell in the flat range of every agent's subsets
+    cells = np.full((inst.n, 2**inst.m), -1, dtype=np.int64)
+    ends = np.cumsum([len(subs) for subs in subsets])
+    for i, subs in enumerate(subsets):
+        masks = [sum(1 << g for g in s) for s in subs]
+        cells[i, masks] = np.arange(ends[i] - len(subs), ends[i])
+    parts = _map_chunks(partial(_audit_chunk, cells), (), dist, inst, trials, seed, _resolve_workers(None))
+    counts = np.split(sum(parts), ends[:-1])
+
+    audits = []
+    for i, (subs, count) in enumerate(zip(subsets, counts)):
+        expected = trials / len(subs)
+        stat = float(np.sum((count - expected) ** 2) / expected)
+        dof = len(subs) - 1
+        p = float(chdtrc(dof, stat)) if dof > 0 else 1.0  # the chi-square survival function
+        audits.append(AgentAudit(i, subs, count, expected, chi2_stat=stat, dof=dof, p_value=p))
+    return UFAuditReport(per_agent=tuple(audits), trials=trials)
 
 
 # --- single-trial reference path (used to pin the batched kernels) -------------

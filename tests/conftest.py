@@ -1,17 +1,14 @@
 import numpy as np
 
 from ordmatch import Instance
+from ordmatch.cli import split_quotas
 
 
 def random_quotas(gen: np.random.Generator, n_max: int = 6, m_max: int = 12, n_min: int = 1) -> tuple[int, ...]:
     """Random quota vector: n agents, item total m, every quota >= 1."""
     n = int(gen.integers(n_min, n_max + 1))
     m = int(gen.integers(n, m_max + 1))
-    if n == 1:
-        return (m,)
-    cuts = np.sort(gen.choice(m - 1, size=n - 1, replace=False)) + 1
-    bounds = np.concatenate(([0], cuts, [m]))
-    return tuple(int(b) for b in np.diff(bounds))
+    return split_quotas(gen, n, m)
 
 
 def random_instance(gen: np.random.Generator, n_max: int = 6, m_max: int = 12, n_min: int = 1) -> Instance:

@@ -21,7 +21,7 @@ The matrix:
   `exchangeable-permutation` over a base of m entries in {0, 0.5, 1} (ties).
 - `probs`, 3000 trials, seed 5: each mechanism x instance x the first two
   distributions.
-- `ufaudit`, 5000 trials (two audit batches), seed 7: (3,2,1) under
+- `ufaudit`, 5000 trials, seed 7: (3,2,1) under
   `exchangeable-permutation` with ties, and the n=4 m=9 instance under
   `favorite-bundle-uniform(1,0)`.
 - `run` with `flags.emit_curve`, 600 trials, seed 11: `rsbs` on (3,2,1)

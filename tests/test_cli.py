@@ -303,7 +303,17 @@ class TestRun:
         )
         assert main(["run", cfg]) == 2
         assert "mystery" in capsys.readouterr().err
-
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "instance": {"quotas": [1, 1]},
+                "distribution": {"name": "iid-uniform01"},
+                "mechanism": {"name": "mystery"},
+                "output": "x.csv",
+            },
+        )
+        assert main(["run", cfg]) == 2
+        assert "mystery" in capsys.readouterr().err
 
     def test_non_integer_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ORDMATCH_THREADS", "abc")

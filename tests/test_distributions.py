@@ -13,8 +13,8 @@ from ordmatch.distributions import (
     DistributionSpec,
     sample_draw_count,
     sample_profile,
-    uf_audit,
 )
+from ordmatch.estimator import uf_audit
 
 ALL_VARIANTS = [
     DistributionSpec.iid_uniform01(),
@@ -170,7 +170,7 @@ class TestSampling:
 class TestUFAudit:
     def test_exchangeable_pairs_uniform(self):
         inst = Instance((2, 2))
-        report = uf_audit(exchangeable_for(inst), inst, 100_000, RandomStream(20))
+        report = uf_audit(exchangeable_for(inst), inst, 100_000, 20)
         for audit in report.per_agent:
             assert len(audit.subsets) == 6
             sigma = math.sqrt(report.trials * (1 / 6) * (5 / 6))
@@ -180,7 +180,7 @@ class TestUFAudit:
 
     def test_uniform01_singletons(self):
         inst = Instance((1, 1, 1))
-        report = uf_audit(DistributionSpec.iid_uniform01(), inst, 100_000, RandomStream(21))
+        report = uf_audit(DistributionSpec.iid_uniform01(), inst, 100_000, 21)
         sigma = math.sqrt(report.trials * (1 / 3) * (2 / 3))
         for audit in report.per_agent:
             for count in audit.counts:
@@ -190,7 +190,7 @@ class TestUFAudit:
     def test_favorite_bundle_two_items(self):
         inst = Instance((1, 1))
         spec = DistributionSpec.favorite_bundle_uniform(1.0, 0.0)
-        report = uf_audit(spec, inst, 50_000, RandomStream(22))
+        report = uf_audit(spec, inst, 50_000, 22)
         sigma = math.sqrt(report.trials * 0.25)
         for audit in report.per_agent:
             assert len(audit.subsets) == 2
@@ -202,17 +202,17 @@ class TestUFAudit:
         seed = 23
         for inst in instances:
             for spec in ALL_VARIANTS + [exchangeable_for(inst)]:
-                report = uf_audit(spec, inst, 30_000, RandomStream(seed))
+                report = uf_audit(spec, inst, 30_000, seed)
                 seed += 1
                 assert report.min_p_value() > 0.001, (spec.kind, inst.quotas, report.min_p_value())
 
     def test_rejects_large_instance(self):
         with pytest.raises(ValueError):
-            uf_audit(DistributionSpec.iid_uniform01(), Instance((7, 6)), 10, RandomStream(0))
+            uf_audit(DistributionSpec.iid_uniform01(), Instance((7, 6)), 10, 0)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            uf_audit(DistributionSpec.iid_uniform01(), Instance((1, 1)), 0, RandomStream(0))
+            uf_audit(DistributionSpec.iid_uniform01(), Instance((1, 1)), 0, 0)
 
 
 class TestChiSquareTail:
@@ -260,7 +260,7 @@ class TestChiSquareTail:
             (Instance((5, 1)), DistributionSpec.iid_bernoulli(0.3)),
             (Instance((4,)), DistributionSpec.iid_uniform01()),
         ]
-        audits = [a for inst, spec in cases for a in uf_audit(spec, inst, 700, RandomStream(23)).per_agent]
+        audits = [a for inst, spec in cases for a in uf_audit(spec, inst, 700, 23).per_agent]
         assert any(a.dof == 0 for a in audits)
         for a in audits:
             expected = float(chi2.sf(a.chi2_stat, a.dof)) if a.dof > 0 else 1.0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ import pytest
 from ordmatch import (
     Instance,
     RandomStream,
+    derive_preferences,
     estimate_assignment_probs,
     estimate_distortion,
     estimate_distortions,
     gap_report,
     run_lb_secretary,
     run_lb_theorem1,
+    sample_profile,
+    uf_audit,
 )
 from ordmatch import estimator, mechanisms
 from ordmatch.distributions import DistributionSpec
@@ -207,6 +211,33 @@ def assert_same_probs(a, b):
     for field in ("q_hat", "half_width", "hits"):
         for x, y in zip(getattr(a, field), getattr(b, field)):
             assert np.array_equal(x, y), field
+
+
+class TestUFAuditDrawContract:
+    def test_counts_tally_the_one_shot_trials(self, monkeypatch):
+        # audit trial t reads the profile and tie tags of estimator trial t,
+        # so neither chunking nor worker count changes a count
+        inst = Instance((3, 2, 1))
+        dist = DistributionSpec.exchangeable_permutation([0.0, 0.5, 1.0, 0.0, 0.5, 1.0])
+        tallies = [dict.fromkeys(combinations(range(inst.m), b), 0) for b in inst.quotas]
+        for t in range(3_000):
+            g = RandomStream(7, t).generator()
+            prefs = derive_preferences(sample_profile(dist, inst, g), g)
+            for i, b in enumerate(inst.quotas):
+                tallies[i][tuple(sorted(prefs.rankings[i, :b].tolist()))] += 1
+
+        def assert_tallied():
+            report = uf_audit(dist, inst, 3_000, 7)
+            for audit, tally in zip(report.per_agent, tallies, strict=True):
+                assert audit.subsets == tuple(tally)
+                assert audit.counts.tolist() == list(tally.values()), audit.agent
+
+        assert_tallied()
+        for batch in (1, 97):
+            monkeypatch.setattr(estimator, "_batch_size", lambda inst: batch)
+            assert_tallied()
+        monkeypatch.setenv("ORDMATCH_THREADS", "2")  # with 97-trial chunks, two groups of chunks
+        assert_tallied()
 
 
 class TestSharedTrials:

@@ -175,6 +175,11 @@ def top_items(values: np.ndarray, tags: np.ndarray, depth: int) -> np.ndarray:
     the tags) is ranked by a lexsort on (-value, tag) instead.  A batch
     whose first row ties, or a table of full depth m, is taken whole to the
     lexsort: 0/1 and all-equal rows tie nearly everywhere.
+
+    The arguments are read as they come, strided views included, and never
+    written.  Besides the returned table, a call holds at most two arrays of
+    their shape: a sort key and a sort order, or on the depth-1 pass a key
+    and a boolean mask.
     """
     v = np.asarray(values, dtype=np.float64)
     t = np.asarray(tags, dtype=np.float64)
@@ -187,21 +192,22 @@ def top_items(values: np.ndarray, tags: np.ndarray, depth: int) -> np.ndarray:
         row_max = v.max(axis=-1, keepdims=True)
         tagged = np.where(v == row_max, t, np.inf)
         return np.argmin(tagged, axis=-1, keepdims=True).astype(np.int64)
-    flat_v = v.reshape(-1, m)
-    flat_t = t.reshape(-1, m)
 
     def ties(descending: np.ndarray) -> np.ndarray:
-        return (np.diff(descending[:, : depth + 1], axis=-1) == 0.0).any(axis=-1)
+        return (np.diff(descending[..., : depth + 1], axis=-1) == 0.0).any(axis=-1)
 
-    if depth < m and not ties(np.sort(flat_v[:1], axis=-1)[:, ::-1]).any():
-        order = np.argsort(flat_v, axis=-1)[:, ::-1]  # by decreasing value, ties in any order
-        top = order[:, :depth]
-        lex_rows = np.flatnonzero(ties(np.take_along_axis(flat_v, order[:, : depth + 1], axis=-1)))
-    else:
-        top = np.empty((flat_v.shape[0], depth), dtype=np.int64)
-        lex_rows = slice(None)
-    top[lex_rows] = np.lexsort((flat_t[lex_rows], -flat_v[lex_rows]), axis=-1)[:, :depth]
-    return top.reshape(*v.shape[:-1], depth)
+    first_row = v[(slice(1),) * (v.ndim - 1)]  # none in an empty batch
+    if depth < m and not ties(np.sort(first_row, axis=-1)[..., ::-1]).any():
+        order = np.argsort(v, axis=-1)[..., ::-1]  # by decreasing value, ties in any order
+        top = order[..., :depth].copy()
+        lex_rows = ties(np.take_along_axis(v, order[..., : depth + 1], axis=-1))
+        del order  # freed before the lexsort of the tied rows
+        if lex_rows.any():
+            key = v[lex_rows]
+            top[lex_rows] = np.lexsort((t[lex_rows], np.negative(key, out=key)), axis=-1)[:, :depth]
+        return top
+    top = np.lexsort((t, -v), axis=-1)
+    return top if depth == m else top[..., :depth].copy()
 
 
 def favorite_pairs(rankings: np.ndarray, quotas: tuple[int, ...]) -> np.ndarray:

@@ -130,19 +130,19 @@ def sample_draw_count(spec: DistributionSpec, inst: Instance) -> int:
 
 
 def values_from_uniforms(spec: DistributionSpec, inst: Instance, u: np.ndarray) -> np.ndarray:
-    """Map a block of uniforms onto value matrices.
+    """Map a block of uniforms onto value matrices, inside `u` itself.
 
     `u` has shape (..., sample_draw_count); the result has shape (..., n, m).
+    Every kind that draws n*m uniforms maps them in place and returns a view
+    of `u`: iid-uniform01 leaves it as it is, the Bernoulli kinds overwrite it
+    with 0.0/1.0, and the argsort kinds write their values over it once the
+    order is taken.  single-agent-adversarial draws fewer uniforms than the
+    matrix has cells, so it returns a new array and leaves `u` unchanged.
     Shared by the one-shot sampler and the batched estimator kernels so both
     produce bit-identical profiles from the same draws.
     """
     n, m = inst.n, inst.m
     lead = u.shape[:-1]
-    if spec.kind == "iid-uniform01":
-        return np.copy(u).reshape(*lead, n, m)
-    if spec.kind in ("iid-bernoulli", "lower-bound-bernoulli"):
-        p = spec.p if spec.kind == "iid-bernoulli" else 1.0 / (n * n)
-        return (u.reshape(*lead, n, m) < p).astype(np.float64)
     if spec.kind == "single-agent-adversarial":
         b_star = inst.quotas[spec.agent]
         vals = np.zeros((*lead, n, m), dtype=np.float64)
@@ -153,12 +153,18 @@ def values_from_uniforms(spec: DistributionSpec, inst: Instance, u: np.ndarray) 
             idx = np.argsort(u, axis=-1)[..., :b_star]
         np.put_along_axis(row, idx, 1.0, axis=-1)
         return vals
+    vals = u.reshape(*lead, n, m)
+    if spec.kind == "iid-uniform01":
+        return vals
+    if spec.kind in ("iid-bernoulli", "lower-bound-bernoulli"):
+        p = spec.p if spec.kind == "iid-bernoulli" else 1.0 / (n * n)
+        return np.less(vals, p, out=vals, casting="unsafe")
+    order = np.argsort(vals, axis=-1)
     if spec.kind == "exchangeable-permutation":
-        order = np.argsort(u.reshape(*lead, n, m), axis=-1)
-        return np.asarray(spec.base, dtype=np.float64)[order]
+        vals[...] = np.asarray(spec.base, dtype=np.float64)[order]
+        return vals
     if spec.kind == "favorite-bundle-uniform":
-        order = np.argsort(u.reshape(*lead, n, m), axis=-1)
-        vals = np.full((*lead, n, m), spec.lo, dtype=np.float64)
+        vals[...] = spec.lo
         for i, b in enumerate(inst.quotas):
             np.put_along_axis(vals[..., i, :], order[..., i, :b], spec.hi, axis=-1)
         return vals

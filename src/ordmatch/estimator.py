@@ -21,13 +21,16 @@ are scored on the same trials.  `uf_audit` runs on the same chunks with no
 mechanism block: audit trial t draws estimator trial t's profile and tags.
 
 Trials are executed in vectorized chunks sized from a fixed byte budget
-(CHUNK_BYTES over a per-trial working-set estimate), so the estimated working
-set of a chunk of more than one trial stays within that budget whatever the
-instance; an instance whose single trial would exceed MAX_TRIAL_BYTES is
-refused with a ValueError before anything is allocated.  The chunks of one
-call run in order against one uniform-block buffer that each chunk refills
-(one contiguous group of chunks, and one buffer, per worker process), so
-chunks do not refault fresh pages; nothing outlives the call.
+(CHUNK_BYTES over `_trial_bytes`, a per-trial bound on everything a chunk
+holds at its peak), so a chunk of more than one trial stays within that
+budget whatever the instance; an instance whose single trial would exceed
+MAX_TRIAL_BYTES is refused with a ValueError before anything is allocated.
+The chunks of one call run in order against one uniform-block buffer that
+each chunk refills (one contiguous group of chunks, and one buffer, per
+worker process), so chunks do not refault fresh pages; nothing outlives the
+call.  A chunk maps its values inside the block's sample region and ranks,
+solves and scores them there, so it builds no other (batch, n, m) copy and
+the block is the largest array it holds.
 `_reference_*` helpers recompute the same trials one at a time through the
 public single-run API and are used by the test suite to pin the two paths
 together.
@@ -61,8 +64,10 @@ from .mechanisms import MechanismSpec
 
 WILSON_Z = 3.0
 
-# chunk sizing, see _batch_size
-CHUNK_BYTES = 8 * 2**20
+# chunk sizing, see _batch_size.  6.25 MiB over _trial_bytes holds a small
+# instance's chunk to about 4 MiB, one L2 cache on the 2-vCPU VM it was tuned
+# on, and gives one-to-one n=50 73-trial chunks (46-trial ones ran 8% slower).
+CHUNK_BYTES = 25 * 2**18
 MAX_BATCH = 8192
 MAX_TRIAL_BYTES = 2**30
 
@@ -191,18 +196,22 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _trial_bytes(inst: Instance) -> int:
-    """Working-set estimate of one trial in a chunk, from the instance alone:
-    the uniform block (every layout draws at most nm sample, nm tag and
-    2n + m + 1 mechanism uniforms) plus four (n, m) arrays at 8 bytes a cell.
-
-    The kernels no longer build (n, m) rankings, cumsums or favorite masks,
-    so the four arrays overstate today's working set.  The value is kept so
-    that chunk plans stay the same: letting sparse-n50 (one-to-one n=50)
-    chunks grow from 69 to about 137 trials made a round 1.18x slower with a
-    fresh block per chunk, and 0.72x instead of 0.57x with the block reused.
-    Resizing chunks is a separate, measured change."""
+    """Upper bound, over every distribution kind and mechanism, on the bytes
+    one trial holds at the peak of a chunk, from the instance alone; counted
+    in 8-byte cells:
+    - the uniform block: at most nm sample, nm tag and 2n + m + 1 mechanism
+      uniforms under every layout, with the values mapped in place;
+    - two (n, m) arrays while ranking or mapping: `top_items`' lexsort key
+      and order (its depth-1 pass holds one key and a boolean mask), or an
+      argsort kind's order and the values gathered by it; the OPT owner
+      pass copies at most one;
+    - m more for single-agent-adversarial, whose (n, m) value matrix stands
+      for a sample block of at most m draws;
+    - 10 (n + m) for the per-trial rows of the ranking table, the favorite
+      pairs, the kernels and the chunk's own tallies.
+    `estimate_distortions` holds one (m,) assignment per mechanism on top."""
     n, m = inst.n, inst.m
-    return 8 * (2 * n * m + 2 * n + m + 1 + 4 * n * m)
+    return 8 * (4 * n * m + 2 * n + 2 * m + 1 + 10 * (n + m))
 
 
 def _batch_size(inst: Instance) -> int:
@@ -247,10 +256,11 @@ def _fill_trial_blocks(seed: int, t0: int, out: np.ndarray) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for k in range(out.shape[0]):
-        key[1] = t0 + k
+    random = gen.random
+    for t, row in enumerate(out, t0):
+        key[1] = t
         bit_gen.state = state
-        gen.random(out=out[k])
+        random(out=row)
     return out
 
 
@@ -260,7 +270,10 @@ def _chunk_arrays(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.
     the first t1 - t0 rows of the call's uniform `block`.  Every mechanism
     runs on the same profiles and rankings, reading its own layout's prefix
     of the mechanism block.  The table covers ranks up to the largest quota,
-    all any caller inspects; no returned array is a view of `block`."""
+    all any caller inspects.  The values are mapped in place, so except under
+    single-agent-adversarial they are a view of `block`, valid until the
+    next chunk refills it; the table and the assignments are new arrays, and
+    no chunk result is a view of `block`."""
     mechs, dist, inst, params, seed = task
     n, m = inst.n, inst.m
     d_sample, d_tags, _ = _trial_layout(mechs, dist, inst)

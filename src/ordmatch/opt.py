@@ -44,6 +44,7 @@ import numpy as np
 from .core import UNASSIGNED, Instance, Matching, ValuationProfile, complete_assignment, welfare
 
 BRUTE_FORCE_MAX_ITEMS = 8
+OWNER_SLICE_CELLS = 2**15  # 256 KiB of float64 per argmax copy
 
 _scipy_lsap = None
 
@@ -101,7 +102,12 @@ def _optimal_assignments(inst: Instance, values: np.ndarray) -> np.ndarray:
     if values.ndim != 3 or values.shape[1:] != (n, m):
         raise ValueError(f"expected a (batch, {n}, {m}) value stack, got shape {values.shape}")
     batch = values.shape[0]
-    owner = values.argmax(axis=1)
+    # argmax over agents reads each trial through a transposed copy, so it
+    # runs on slices of at most OWNER_SLICE_CELLS cells (or one trial)
+    owner = np.empty((batch, m), dtype=np.intp)
+    step = max(1, OWNER_SLICE_CELLS // (n * m))
+    for s in range(0, batch, step):
+        values[s : s + step].argmax(axis=1, out=owner[s : s + step])
     valued = np.take_along_axis(values, owner[:, None], axis=1)[:, 0] > 0
     loads = np.bincount((owner + n * np.arange(batch)[:, None])[valued], minlength=batch * n)
     assignment = np.where(valued, owner, UNASSIGNED)

@@ -288,7 +288,7 @@ class TestRun:
         )
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: one trial at n=20000, m=20000 needs about 19200480008 bytes")
+        assert err.startswith("error: one trial at n=20000, m=20000 needs about 12803840008 bytes")
         assert not (tmp_path / "out.csv").exists()
 
     def test_unknown_names_exit_2(self, tmp_path, capsys):

@@ -377,7 +377,9 @@ class TestCompleteMatching:
 )
 def test_top_items_is_the_ranking_prefix(m, lead, kinds, seed):
     """Every depth of top_items equals the same prefix of the full tag-broken
-    ranking, on batches whose rows are continuous, 0/1 or all equal, mixed."""
+    ranking, on batches whose rows are continuous, 0/1 or all equal, mixed.
+    Values and tags are read-only strided views of one block, as in the
+    engine, and the same tags serve every depth."""
     rng = np.random.default_rng(seed)
     rows = {
         "continuous": rng.random((*lead, m)),
@@ -388,9 +390,14 @@ def test_top_items_is_the_ranking_prefix(m, lead, kinds, seed):
     values = np.zeros((*lead, m))
     for kind, row in rows.items():
         values = np.where(pick == kind, row, values)
-    tags = rng.random((*lead, m))
+    block = rng.random((*lead, 2 * m + 1))
+    block[..., :m] = values
+    values, tags = block[..., :m], block[..., m : 2 * m]
+    values.setflags(write=False)
+    tags.setflags(write=False)
     full = lexsort_rankings(values, tags)
     for depth in range(1, m + 1):
         top = top_items(values, tags, depth)
         assert top.dtype == np.int64
         assert np.array_equal(top, full[..., :depth]), depth
+

@@ -13,6 +13,7 @@ from ordmatch.distributions import (
     DistributionSpec,
     sample_draw_count,
     sample_profile,
+    values_from_uniforms,
 )
 from ordmatch.estimator import uf_audit
 
@@ -155,6 +156,23 @@ class TestSampling:
         a = sample_profile(DistributionSpec.iid_uniform01(), inst, RandomStream(99, 3)).values
         c = sample_profile(DistributionSpec.iid_uniform01(), inst, RandomStream(99, 4)).values
         assert not np.array_equal(a, c)
+
+    def test_mapping_a_block_view_equals_mapping_a_copy(self):
+        # the engine maps the sample region of its uniform block in place:
+        # strided rows, followed by tag and mechanism draws it must not touch
+        inst = Instance((3, 2, 1))
+        for spec in ALL_VARIANTS + [exchangeable_for(inst)]:
+            d = sample_draw_count(spec, inst)
+            block = RandomStream(12).generator().random((40, d + 9))
+            untouched = block[:, d:].copy()
+            fresh = values_from_uniforms(spec, inst, block[:, :d].copy())
+            mapped = values_from_uniforms(spec, inst, block[:, :d])
+            assert mapped.shape == fresh.shape == (40, inst.n, inst.m)
+            assert mapped.dtype == fresh.dtype == np.float64
+            assert np.ascontiguousarray(mapped).tobytes() == fresh.tobytes(), spec.kind
+            assert np.array_equal(block[:, d:], untouched), spec.kind
+            # every kind that draws one uniform per cell maps inside the block
+            assert np.shares_memory(mapped, block) == (d == inst.n * inst.m), spec.kind
 
     def test_draw_count_matches_consumption(self):
         inst = Instance((2, 2, 1))

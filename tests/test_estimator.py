@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -317,11 +318,45 @@ class TestChunkBudget:
             for dist in dists:
                 assert sum(estimator._trial_layout((MechanismSpec(kind),), dist, inst)) <= bound
 
+    @pytest.mark.parametrize("quotas", [(1,) * 20, (1,) * 50, (5, 4, 3, 2, 1), (9, 1)])
+    def test_chunk_peak_fits_the_estimate(self, quotas):
+        # a chunk's uniform block plus everything it allocates stays within
+        # batch * _trial_bytes, for every distribution kind and mechanism;
+        # on (9, 1) the per-trial rows outweigh the (n, m) arrays
+        inst = Instance(quotas)
+        batch = min(estimator._batch_size(inst), 512)  # per-chunk constants weigh more in a smaller chunk
+        dists = (
+            UNIFORM,
+            DistributionSpec.iid_bernoulli(0.3),
+            DistributionSpec.lower_bound_bernoulli(),
+            DistributionSpec.single_agent_adversarial(0),
+            DistributionSpec.single_agent_adversarial(0, with_replacement=False),
+            DistributionSpec.exchangeable_permutation([float(g % 4) for g in range(inst.m)]),
+            DistributionSpec.favorite_bundle_uniform(1.0, 0.25),
+        )
+        chunks = [(estimator._distortion_chunk, (MechanismSpec(k, complete=True),)) for k in mechanisms.KINDS]
+        chunks += [(estimator._probs_chunk, (MechanismSpec(k),)) for k in mechanisms.KINDS]
+        if inst.m <= 15:  # the audit's subset table has 2**m cells per agent
+            cells = np.zeros((inst.n, 2**inst.m), dtype=np.int64)
+            chunks.append((partial(estimator._audit_chunk, cells), ()))
+        estimator.opt.linear_sum_assignment(np.eye(2))  # the solver loads on its first call
+        for dist in dists:
+            for fn, mechs in chunks:
+                task = (mechs, dist, inst, estimator._validated(mechs, dist, inst, batch), 17)
+                block = np.empty((batch, sum(estimator._trial_layout(mechs, dist, inst))))
+                tracemalloc.start()
+                try:
+                    fn(task, block, 0, batch)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert block.nbytes + peak <= batch * estimator._trial_bytes(inst), (dist.label(), mechs)
+
     def test_oversized_trial_refused_before_allocation(self):
-        inst = Instance.one_to_one(20_000)  # about 19 GB for a single trial
+        inst = Instance.one_to_one(20_000)  # about 13 GB for a single trial
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"n=20000, m=20000 needs about 19200480008 bytes"):
+            with pytest.raises(ValueError, match=r"n=20000, m=20000 needs about 12803840008 bytes"):
                 estimate_distortion(MechanismSpec.rs(), UNIFORM, inst, 1, 0)
             with pytest.raises(ValueError, match=r"n=20000, m=20000"):
                 estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 1, 0)

@@ -1,7 +1,13 @@
 """Command-line front end.
 
 Subcommands: run, probs, curve, optcheck, ufaudit.  Experiment cells come
-from a JSON config file; command-line flags override config fields.  All
+from a JSON config file.  Its top level takes `instance` or `instances`,
+`mechanism` or `mechanisms`, `distribution` or `distributions`, `trials`,
+`seed`, `output` and `complete`; an instance takes `quotas`, `n`, `m` and
+`generator`; a mechanism `name`, `complete` and `order`; a distribution
+`name`, `p`, `hi`, `lo`, `agent`, `with_replacement` and `base`.  Any other
+key is a config error.  --trials, --seed and --out override the config, and
+`run --complete` tops up every mechanism, whatever its own `complete`.  All
 output CSVs are deterministic given --seed (LF line endings, 12 significant
 digits).  The ORDMATCH_THREADS environment variable caps the worker
 processes of run, probs and ufaudit (0 = one per CPU, unset = serial).
@@ -44,6 +50,17 @@ def _quota_label(inst: Instance) -> str:
 
 
 # --- config parsing -----------------------------------------------------------
+
+
+def _check_keys(cfg, where: str, keys) -> None:
+    """Raise unless `cfg` is a JSON object whose keys all lie in `keys`;
+    `where` is its path in the config, empty at the top level."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where or 'top level'}: expected a JSON object")
+    unknown = sorted(cfg.keys() - set(keys))
+    if unknown:
+        field = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ConfigError(f"{field}: unknown field")
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -106,8 +123,7 @@ def split_quotas(gen: np.random.Generator, n: int, m: int) -> tuple[int, ...]:
 
 
 def _parse_instance(cfg, where: str) -> Instance:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object")
+    _check_keys(cfg, where, ("quotas", "n", "m", "generator"))
     if "quotas" in cfg:
         quotas = cfg["quotas"]
         if not isinstance(quotas, list) or not quotas:
@@ -161,12 +177,8 @@ _FIELD_TYPES = {
 
 
 def _parse_distribution(cfg, where: str) -> DistributionSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object")
+    _check_keys(cfg, where, ("name", *_FIELD_TYPES))
     name = _require(cfg, "name", where)
-    unknown = sorted(cfg.keys() - _FIELD_TYPES.keys() - {"name"})
-    if unknown:
-        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
     fields = {key: parse(cfg[key], f"{where}.{key}") for key, parse in _FIELD_TYPES.items() if key in cfg}
     try:
         return DistributionSpec(name, **fields)
@@ -174,11 +186,10 @@ def _parse_distribution(cfg, where: str) -> DistributionSpec:
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _parse_mechanism(cfg, where: str, default_complete: bool) -> MechanismSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object")
+def _parse_mechanism(cfg, where: str, default_complete: bool, force: bool) -> MechanismSpec:
+    _check_keys(cfg, where, ("name", "complete", "order"))
     name = _require(cfg, "name", where)
-    complete = _as_bool(cfg.get("complete", default_complete), f"{where}.complete")
+    complete = _as_bool(cfg.get("complete", default_complete), f"{where}.complete") or force
     order = cfg.get("order")
     if order is not None:
         if not isinstance(order, list):
@@ -202,8 +213,9 @@ def _parse_many(cfg: dict, singular: str, plural: str, parse) -> list:
 
 
 def load_config(path: str, args, need_mechanism: bool = True) -> dict:
-    """Read the JSON config, apply flag overrides, and build the experiment
-    cells.  Raises ConfigError with a field-precise message on any problem."""
+    """Read the JSON config, apply the command-line overrides in `args`, and
+    build the experiment cells.  Raises ConfigError with a field-precise
+    message on any problem."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -212,23 +224,16 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON at byte {e.pos}: {e.msg}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("top level: expected a JSON object")
-
-    flags = cfg.get("flags", {})
-    if not isinstance(flags, dict):
-        raise ConfigError("flags: expected an object")
+    sections = ("instance", "instances", "mechanism", "mechanisms", "distribution", "distributions")
+    _check_keys(cfg, "", (*sections, "trials", "seed", "output", "complete"))
     default_complete = _as_bool(cfg.get("complete", False), "complete")
-    if "complete" in flags:
-        default_complete = _as_bool(flags["complete"], "flags.complete")
-    if getattr(args, "complete", False):
-        default_complete = True
+    force = getattr(args, "complete", False)  # run --complete
 
     instances = _parse_many(cfg, "instance", "instances", _parse_instance)
     dists = _parse_many(cfg, "distribution", "distributions", _parse_distribution)
     if need_mechanism or "mechanism" in cfg or "mechanisms" in cfg:
         mechs = _parse_many(
-            cfg, "mechanism", "mechanisms", lambda c, w: _parse_mechanism(c, w, default_complete)
+            cfg, "mechanism", "mechanisms", lambda c, w: _parse_mechanism(c, w, default_complete, force)
         )
     else:
         mechs = []
@@ -252,45 +257,20 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
         "trials": trials,
         "seed": seed,
         "output": str(output),
-        "emit_probs": _as_bool(flags.get("emit_probs", False), "flags.emit_probs"),
-        "emit_curve": _as_bool(flags.get("emit_curve", False), "flags.emit_curve"),
     }
 
 
 # --- commands --------------------------------------------------------------------
 
 
-def _write_probs_csv(path: str, mech: MechanismSpec, inst: Instance, report) -> None:
-    q_exact = q_exact_per_agent(mech, inst)
+def _write_csv(path: str, rows: list[dict], footer: str = "") -> None:
+    """Write dict rows under a header of the first row's keys, each value
+    through _fmt, then `footer` verbatim."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["agent", "rank", "q_hat", "ci_half_width", "q_exact"])
-        for i in range(inst.n):
-            for t in range(inst.quotas[i]):
-                w.writerow(
-                    [
-                        i,
-                        t + 1,
-                        _fmt(float(report.q_hat[i][t])),
-                        _fmt(float(report.half_width[i][t])),
-                        _fmt(q_exact[i]),
-                    ]
-                )
-
-
-def _write_curve_csv(path: str, points: int) -> tuple[float, float]:
-    best_x, best_bound = 1.0, 1.0
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["x", "bound"])
-        for k in range(1, points + 1):
-            x = k / points
-            point = analytics.distortion_gap_curve(x)
-            if point.bound > best_bound:
-                best_x, best_bound = point.x, point.bound
-            w.writerow([_fmt(point.x), _fmt(point.bound)])
-        f.write(f"# max,{_fmt(best_bound)},x,{_fmt(best_x)}\n")
-    return best_x, best_bound
+        w.writerow(rows[0].keys())
+        w.writerows([_fmt(v) for v in row.values()] for row in rows)
+        f.write(footer)
 
 
 def cmd_run(args) -> int:
@@ -306,48 +286,23 @@ def cmd_run(args) -> int:
         gap = estimator.GapReport.of(reports[inst, dist][mech], inst)
         rep = gap.estimate
         rows.append(
-            [
-                inst.n,
-                inst.m,
-                _quota_label(inst),
-                mech.label(),
-                dist.label(),
-                cfg["trials"],
-                cfg["seed"],
-                _fmt(rep.mean_opt),
-                _fmt(rep.mean_sw),
-                _fmt(rep.distortion_estimate),
-                _fmt(rep.stderr_ratio),
-                _fmt(gap.benchmark_lb),
-                _fmt(gap.gap_ratio),
-            ]
+            {
+                "n": inst.n,
+                "m": inst.m,
+                "quotas": _quota_label(inst),
+                "mechanism": mech.label(),
+                "distribution": dist.label(),
+                "trials": trials,
+                "seed": seed,
+                "mean_opt": rep.mean_opt,
+                "mean_sw": rep.mean_sw,
+                "distortion": rep.distortion_estimate,
+                "stderr": rep.stderr_ratio,
+                "benchmark_lb": gap.benchmark_lb,
+                "gap_ratio": gap.gap_ratio,
+            }
         )
-    with open(cfg["output"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(
-            [
-                "n",
-                "m",
-                "quotas",
-                "mechanism",
-                "distribution",
-                "trials",
-                "seed",
-                "mean_opt",
-                "mean_sw",
-                "distortion",
-                "stderr",
-                "benchmark_lb",
-                "gap_ratio",
-            ]
-        )
-        w.writerows(rows)
-    if cfg["emit_probs"]:
-        inst, mech, dist = cfg["instances"][0], cfg["mechanisms"][0], cfg["distributions"][0]
-        rep = estimator.estimate_assignment_probs(mech, dist, inst, cfg["trials"], cfg["seed"])
-        _write_probs_csv(cfg["output"] + ".probs.csv", mech, inst, rep)
-    if cfg["emit_curve"]:
-        _write_curve_csv(cfg["output"] + ".curve.csv", 10000)
+    _write_csv(cfg["output"], rows)
     return 0
 
 
@@ -358,14 +313,33 @@ def cmd_probs(args) -> int:
         raise ConfigError("probs needs exactly one (instance, mechanism, distribution) cell")
     inst, mech, dist = cfg["instances"][0], cfg["mechanisms"][0], cfg["distributions"][0]
     rep = estimator.estimate_assignment_probs(mech, dist, inst, cfg["trials"], cfg["seed"])
-    _write_probs_csv(cfg["output"], mech, inst, rep)
+    q_exact = q_exact_per_agent(mech, inst)
+    rows = [
+        {
+            "agent": i,
+            "rank": t + 1,
+            "q_hat": float(rep.q_hat[i][t]),
+            "ci_half_width": float(rep.half_width[i][t]),
+            "q_exact": q_exact[i],
+        }
+        for i in range(inst.n)
+        for t in range(inst.quotas[i])
+    ]
+    _write_csv(cfg["output"], rows)
     return 0
 
 
 def cmd_curve(args) -> int:
     if args.points < 2:
         raise ValueError("--points must be at least 2")
-    _write_curve_csv(args.out, args.points)
+    best_x, best_bound = 1.0, 1.0
+    rows = []
+    for k in range(1, args.points + 1):
+        point = analytics.distortion_gap_curve(k / args.points)
+        if point.bound > best_bound:
+            best_x, best_bound = point.x, point.bound
+        rows.append({"x": point.x, "bound": point.bound})
+    _write_csv(args.out, rows, footer=f"# max,{_fmt(best_bound)},x,{_fmt(best_x)}\n")
     return 0
 
 
@@ -406,23 +380,21 @@ def cmd_ufaudit(args) -> int:
         raise ConfigError("ufaudit needs exactly one instance and one distribution")
     inst, dist = cfg["instances"][0], cfg["distributions"][0]
     report = estimator.uf_audit(dist, inst, cfg["trials"], cfg["seed"])
-    with open(cfg["output"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["agent", "subset", "observed", "expected", "frequency", "chi2", "dof", "p_value"])
-        for audit in report.per_agent:
-            for subset, count in zip(audit.subsets, audit.counts):
-                w.writerow(
-                    [
-                        audit.agent,
-                        "|".join(str(g) for g in subset),
-                        int(count),
-                        _fmt(audit.expected),
-                        _fmt(int(count) / report.trials),
-                        _fmt(audit.chi2_stat),
-                        audit.dof,
-                        _fmt(audit.p_value),
-                    ]
-                )
+    rows = [
+        {
+            "agent": audit.agent,
+            "subset": "|".join(str(g) for g in subset),
+            "observed": int(count),
+            "expected": audit.expected,
+            "frequency": int(count) / report.trials,
+            "chi2": audit.chi2_stat,
+            "dof": audit.dof,
+            "p_value": audit.p_value,
+        }
+        for audit in report.per_agent
+        for subset, count in zip(audit.subsets, audit.counts)
+    ]
+    _write_csv(cfg["output"], rows)
     print(f"ufaudit: min p-value {report.min_p_value():.6g} over {inst.n} agents")
     return 0
 
@@ -443,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None, help="override config trials")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override config output path")
-        p.add_argument("--complete", action="store_true", help="force the quota-filling post-pass")
         p.set_defaults(func=func)
         return p
 
-    add_config_command("run", cmd_run, "estimate distortion for each config cell, write CSV")
+    p_run = add_config_command("run", cmd_run, "estimate distortion for each config cell, write CSV")
+    p_run.add_argument("--complete", action="store_true", help="force every mechanism's quota-filling pass")
     add_config_command("probs", cmd_probs, "estimate per-(agent, rank) assignment probabilities")
     add_config_command("ufaudit", cmd_ufaudit, "audit a distribution's unbiased-favorites property")
 

@@ -303,15 +303,19 @@ def complete_assignment(assignment: np.ndarray, inst: Instance) -> np.ndarray:
     existing assignments are kept.  Feasibility is guaranteed because the
     quotas sum to the item count.
     """
-    assigned = assignment >= 0
-    counts = (assignment[..., None, :] == np.arange(inst.n)[:, None]).sum(axis=-1)
-    residual = inst.quota_array - counts
-    cum = np.cumsum(residual, axis=-1)
-    # the k-th unassigned item (0-based) goes to the first agent whose
-    # cumulative residual quota exceeds k
-    rank_unassigned = np.cumsum(~assigned, axis=-1) - 1
-    fill = (cum[..., :, None] <= rank_unassigned[..., None, :]).sum(axis=-2)
-    return np.where(assigned, assignment, fill)
+    n = inst.n
+    batch = math.prod(assignment.shape[:-1])
+    flat = assignment.reshape(batch, assignment.shape[-1])
+    held = flat >= 0
+    # held items per (trial, agent): one bincount over agent + n * trial
+    keys = (flat + n * np.arange(batch)[:, None])[held]
+    residual = inst.quota_array - np.bincount(keys, minlength=batch * n).reshape(batch, n)
+    # the free cells, in row-major order, take each trial's agents in index
+    # order, each agent as often as its residual quota; since the quotas sum
+    # to m, each trial's residual slots exactly cover its free items
+    out = flat.astype(np.result_type(flat.dtype, np.int64))
+    out[~held] = np.repeat(np.tile(np.arange(n), batch), residual.ravel())
+    return out.reshape(assignment.shape)
 
 
 def complete_matching(matching: Matching, inst: Instance) -> Matching:

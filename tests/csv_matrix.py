@@ -8,15 +8,17 @@ of the sorted per-file sha256 hex digests, one per line: first over the 60
 `run` / `probs` files of the original matrix, then over all 64.  Two
 checkouts whose reports are byte-identical print the same digests.
 
-The matrix:
-- `run` with `flags.emit_probs`, 600 trials, seed 11: one config per
-  mechanism with `complete` false and true, over one-to-one n=20, (3,2,1),
-  (5,4,1) and `geometric-quotas(0.5)` n=4 m=9, times `iid-uniform01`,
+The matrix (each of the first two groups' `run` configs is followed by
+`probs` on its first (instance, mechanism, distribution) cell at the same
+trials and seed, written to `<stem>.csv.probs.csv`):
+- `run`, 600 trials, seed 11: one config per mechanism with `complete`
+  false and true, over one-to-one n=20, (3,2,1), (5,4,1) and
+  `geometric-quotas(0.5)` n=4 m=9, times `iid-uniform01`,
   `favorite-bundle-uniform(1,0)` and `iid-bernoulli(0.3)`; plus
   `serial-dictator` with order [2, 0, 1] on the two 3-agent instances.
-- `run` with `flags.emit_probs`, 600 trials, seed 11: one config per
-  instance, every mechanism with `complete` false and true, times the other
-  three distribution kinds: `lower-bound-bernoulli`,
+- `run`, 600 trials, seed 11: one config per instance, every mechanism
+  with `complete` false and true, times the other three distribution
+  kinds: `lower-bound-bernoulli`,
   `single-agent-adversarial` for agent 0 with and without replacement, and
   `exchangeable-permutation` over a base of m entries in {0, 0.5, 1} (ties).
 - `probs`, 3000 trials, seed 5: each mechanism x instance x the first two
@@ -24,8 +26,8 @@ The matrix:
 - `ufaudit`, 5000 trials, seed 7: (3,2,1) under
   `exchangeable-permutation` with ties, and the n=4 m=9 instance under
   `favorite-bundle-uniform(1,0)`.
-- `run` with `flags.emit_curve`, 600 trials, seed 11: `rsbs` on (3,2,1)
-  under `iid-uniform01`, plus the 10000-point curve CSV.
+- `run`, 600 trials, seed 11: `rsbs` on (3,2,1) under `iid-uniform01`,
+  and `curve --points 10000` written to `run-curve.csv.curve.csv`.
 """
 
 import contextlib
@@ -60,18 +62,27 @@ def other_distributions(m):
     ]
 
 
+def run_and_probs(stem, cfg):
+    """Yield the `run` of `cfg`, then `probs` on its first (instance,
+    mechanism, distribution) cell at the same trials and seed."""
+    yield "run", stem, cfg
+    kinds = ("instance", "mechanism", "distribution")
+    cell = {key: cfg[key] if key in cfg else cfg[key + "s"][0] for key in kinds}
+    yield "probs", f"{stem}.csv.probs", dict(cell, trials=cfg["trials"], seed=cfg["seed"])
+
+
 def configs():
     """Yield (command, file stem, config) for every cell of the matrix."""
-    run = {"distributions": DISTRIBUTIONS, "trials": 600, "seed": 11, "flags": {"emit_probs": True}}
+    run = {"distributions": DISTRIBUTIONS, "trials": 600, "seed": 11}
     for mech in MECHANISMS:
         mechs = [{"name": mech, "complete": c} for c in (False, True)]
-        yield "run", f"run-{mech}", dict(run, instances=INSTANCES, mechanisms=mechs)
+        yield from run_and_probs(f"run-{mech}", dict(run, instances=INSTANCES, mechanisms=mechs))
     ordered = [{"name": "serial-dictator", "order": [2, 0, 1], "complete": c} for c in (False, True)]
-    yield "run", "run-serial-order", dict(run, instances=INSTANCES[1:3], mechanisms=ordered)
+    yield from run_and_probs("run-serial-order", dict(run, instances=INSTANCES[1:3], mechanisms=ordered))
     every = [{"name": mech, "complete": c} for mech in MECHANISMS for c in (False, True)]
     for k, (inst, m) in enumerate(zip(INSTANCES, ITEM_COUNTS)):
         cfg = dict(run, instance=inst, mechanisms=every, distributions=other_distributions(m))
-        yield "run", f"run-other-kinds-{k}", cfg
+        yield from run_and_probs(f"run-other-kinds-{k}", cfg)
     for mech in MECHANISMS:
         for k, inst in enumerate(INSTANCES):
             for j, dist in enumerate(DISTRIBUTIONS[:2]):
@@ -81,7 +92,8 @@ def configs():
 
 def extra_configs():
     """Yield (command, file stem, config) for the cells added after the
-    first 60 files: the `ufaudit` command and the curve CSV of `run`."""
+    first 60 files: the `ufaudit` command, a last `run` and the curve CSV
+    (`curve` takes no config)."""
     audits = [(INSTANCES[1], other_distributions(6)[3]), (INSTANCES[3], DISTRIBUTIONS[1])]
     for k, (inst, dist) in enumerate(audits):
         yield "ufaudit", f"ufaudit-{k}", {"instance": inst, "distribution": dist, "trials": 5000, "seed": 7}
@@ -91,9 +103,9 @@ def extra_configs():
         "mechanism": {"name": "rsbs"},
         "trials": 600,
         "seed": 11,
-        "flags": {"emit_curve": True},
     }
     yield "run", "run-curve", cfg
+    yield "curve", "run-curve.csv.curve", None
 
 
 def digest(files) -> str:
@@ -108,18 +120,18 @@ def main(src: str, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for command, stem, cfg in [*configs(), *extra_configs()]:
-        path = out / f"{stem}.json"
-        path.write_text(json.dumps(dict(cfg, output=str(out / f"{stem}.csv"))))
+        csv_path = out / f"{stem}.csv"
+        if cfg is None:
+            argv = [command, "--points", "10000", "--out", str(csv_path)]
+        else:
+            path = out / f"{stem}.json"
+            path.write_text(json.dumps(dict(cfg, output=str(csv_path))))
+            argv = [command, str(path)]
         with contextlib.redirect_stdout(io.StringIO()):  # ufaudit prints a summary line
-            status = ordmatch_main([command, str(path)])
+            status = ordmatch_main(argv)
         if status != 0:
-            raise SystemExit(f"ordmatch {command} failed on {path}")
-        files.append(out / f"{stem}.csv")
-        flags = cfg.get("flags", {})
-        if flags.get("emit_probs"):
-            files.append(out / f"{stem}.csv.probs.csv")
-        if flags.get("emit_curve"):
-            files.append(out / f"{stem}.csv.curve.csv")
+            raise SystemExit(f"ordmatch {' '.join(argv)} failed")
+        files.append(csv_path)
     print(60, "files", digest(files[:60]))
     print(len(files), "files", digest(files))
 

@@ -1,6 +1,9 @@
+import argparse
 import csv
 import json
+import re
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,20 +139,30 @@ class TestRun:
         quotas = [int(q) for q in row[header.index("quotas")].split("|")]
         assert sum(quotas) == 12 and len(quotas) == 3 and all(q >= 1 for q in quotas)
 
-    def test_emit_flags(self, tmp_path):
-        out = tmp_path / "out.csv"
+    def test_complete_flag_overrides_every_mechanism(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
             {
-                **BASE_RUN,
-                "trials": 500,
-                "output": str(out),
-                "flags": {"emit_probs": True, "emit_curve": True},
+                "instance": {"quotas": [2, 1]},
+                "distribution": {"name": "iid-uniform01"},
+                "mechanisms": [{"name": "rs", "complete": False}, {"name": "rs"}],
+                "trials": 200,
+                "seed": 3,
+                "output": str(tmp_path / "out.csv"),
             },
         )
-        assert main(["run", cfg]) == 0
-        assert (tmp_path / "out.csv.probs.csv").exists()
-        assert (tmp_path / "out.csv.curve.csv").exists()
+        assert main(["run", cfg, "--complete"]) == 0
+        header, *rows = read_rows(tmp_path / "out.csv")
+        rs = MechanismSpec.rs(complete=True)
+        forced = gap_report(rs, Instance((2, 1)), DistributionSpec.iid_uniform01(), 200, 3).estimate
+        assert [row[header.index("mean_sw")] for row in rows] == [cli._fmt(forced.mean_sw)] * 2
+
+    @pytest.mark.parametrize("command", ["probs", "ufaudit"])
+    def test_complete_flag_is_run_only(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", {**BASE_RUN, "output": str(tmp_path / "out.csv")})
+        assert main([command, cfg, "--complete"]) == 2
+        assert "--complete" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_malformed_json_exit_2_with_byte_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -172,9 +185,19 @@ class TestRun:
                 id="mechanism-complete-string",
             ),
             pytest.param({"complete": "false"}, "complete", id="complete-string"),
-            pytest.param({"flags": {"complete": 1}}, "flags.complete", id="flags-complete-int"),
-            pytest.param({"flags": {"emit_probs": "true"}}, "flags.emit_probs", id="emit-probs-string"),
-            pytest.param({"flags": {"emit_curve": 0}}, "flags.emit_curve", id="emit-curve-int"),
+            pytest.param({"trails": 50}, "trails", id="top-level-unknown"),
+            pytest.param({"flags": {"complete": True}}, "flags", id="top-level-flags"),
+            pytest.param({"instance": {"quotas": [1, 1], "foo": 1}}, "instance.foo", id="instance-unknown"),
+            pytest.param(
+                {"mechanism": {"name": "rs", "compete": True}},
+                "mechanism.compete",
+                id="mechanism-unknown",
+            ),
+            pytest.param(
+                {"instances": [{"quotas": [1, 1]}, {"quotas": [2], "size": 1}]},
+                "instances[1].size",
+                id="listed-instance-unknown",
+            ),
             pytest.param(
                 {
                     "distribution": {
@@ -457,3 +480,16 @@ class TestUsage:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_json_examples_are_accepted_configs(self, tmp_path):
+        # a key the README documents but the parser rejects fails here
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```json\n(.*?)^```", text, re.S | re.M)
+        assert blocks
+        args = argparse.Namespace(out=str(tmp_path / "out.csv"))
+        for k, block in enumerate(blocks):
+            path = tmp_path / f"readme-{k}.json"
+            path.write_text(block, encoding="utf-8")
+            assert cli.load_config(str(path), args)["output"] == args.out

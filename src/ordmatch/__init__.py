@@ -26,7 +26,6 @@ from .estimator import (
     estimate_assignment_probs,
     estimate_distortion,
     estimate_distortions,
-    gap_report,
     run_lb_secretary,
     run_lb_theorem1,
     uf_audit,
@@ -60,7 +59,6 @@ __all__ = [
     "estimate_assignment_probs",
     "estimate_distortion",
     "estimate_distortions",
-    "gap_report",
     "run_lb_secretary",
     "run_lb_theorem1",
 ]

@@ -2,12 +2,13 @@
 
 Subcommands: run, probs, curve, optcheck, ufaudit.  Experiment cells come
 from a JSON config file.  Its top level takes `instance` or `instances`,
-`mechanism` or `mechanisms`, `distribution` or `distributions`, `trials`,
-`seed`, `output` and `complete`; an instance takes `quotas`, `n`, `m` and
-`generator`; a mechanism `name`, `complete` and `order`; a distribution
-`name`, `p`, `hi`, `lo`, `agent`, `with_replacement` and `base`.  Any other
-key is a config error.  --trials, --seed and --out override the config, and
-`run --complete` tops up every mechanism, whatever its own `complete`.  All
+`mechanism` or `mechanisms`, `distribution` or `distributions` (one spelling
+of each section, not both), `trials`, `seed` and `output`; an instance takes
+either `quotas` alone or `n`, `m` and `generator`; a mechanism `name`,
+`complete` and `order`; a distribution `name`, `p`, `hi`, `lo`, `agent`,
+`with_replacement` and `base`.  Any other key, or a mix of the two instance
+forms, is a config error.  --trials, --seed and --out override the config,
+and `run --complete` tops up every mechanism, whatever its own `complete`.  All
 output CSVs are deterministic given --seed (LF line endings, 12 significant
 digits).  The ORDMATCH_THREADS environment variable caps the worker
 processes of run, probs and ufaudit (0 = one per CPU, unset = serial).
@@ -125,16 +126,15 @@ def split_quotas(gen: np.random.Generator, n: int, m: int) -> tuple[int, ...]:
 def _parse_instance(cfg, where: str) -> Instance:
     _check_keys(cfg, where, ("quotas", "n", "m", "generator"))
     if "quotas" in cfg:
+        mixed = sorted(cfg.keys() - {"quotas"})
+        if mixed:
+            raise ConfigError(f"{where}.{mixed[0]}: not allowed beside 'quotas'")
         quotas = cfg["quotas"]
         if not isinstance(quotas, list) or not quotas:
             raise ConfigError(f"{where}.quotas: expected a nonempty list")
         out = []
         for k, b in enumerate(quotas):
             out.append(_as_int(b, f"{where}.quotas[{k}]", minimum=1))
-        if "n" in cfg and _as_int(cfg["n"], f"{where}.n") != len(out):
-            raise ConfigError(f"{where}.n: does not match the quota list length")
-        if "m" in cfg and _as_int(cfg["m"], f"{where}.m") != sum(out):
-            raise ConfigError(f"{where}.m: does not match the quota sum")
         return Instance(tuple(out))
     gen = _require(cfg, "generator", where)
     n = _as_int(_require(cfg, "n", where), f"{where}.n", minimum=1)
@@ -186,10 +186,10 @@ def _parse_distribution(cfg, where: str) -> DistributionSpec:
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _parse_mechanism(cfg, where: str, default_complete: bool, force: bool) -> MechanismSpec:
+def _parse_mechanism(cfg, where: str, force: bool) -> MechanismSpec:
     _check_keys(cfg, where, ("name", "complete", "order"))
     name = _require(cfg, "name", where)
-    complete = _as_bool(cfg.get("complete", default_complete), f"{where}.complete") or force
+    complete = _as_bool(cfg.get("complete", False), f"{where}.complete") or force
     order = cfg.get("order")
     if order is not None:
         if not isinstance(order, list):
@@ -202,6 +202,8 @@ def _parse_mechanism(cfg, where: str, default_complete: bool, force: bool) -> Me
 
 
 def _parse_many(cfg: dict, singular: str, plural: str, parse) -> list:
+    if singular in cfg and plural in cfg:
+        raise ConfigError(f"{plural}: not allowed beside {singular!r}")
     if plural in cfg:
         items = cfg[plural]
         if not isinstance(items, list) or not items:
@@ -225,16 +227,13 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON at byte {e.pos}: {e.msg}") from None
     sections = ("instance", "instances", "mechanism", "mechanisms", "distribution", "distributions")
-    _check_keys(cfg, "", (*sections, "trials", "seed", "output", "complete"))
-    default_complete = _as_bool(cfg.get("complete", False), "complete")
+    _check_keys(cfg, "", (*sections, "trials", "seed", "output"))
     force = getattr(args, "complete", False)  # run --complete
 
     instances = _parse_many(cfg, "instance", "instances", _parse_instance)
     dists = _parse_many(cfg, "distribution", "distributions", _parse_distribution)
     if need_mechanism or "mechanism" in cfg or "mechanisms" in cfg:
-        mechs = _parse_many(
-            cfg, "mechanism", "mechanisms", lambda c, w: _parse_mechanism(c, w, default_complete, force)
-        )
+        mechs = _parse_many(cfg, "mechanism", "mechanisms", lambda c, w: _parse_mechanism(c, w, force))
     else:
         mechs = []
 
@@ -245,10 +244,15 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
     if getattr(args, "seed", None) is not None:
         seed = _as_int(args.seed, "--seed", minimum=0)
     output = cfg.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output: expected a string, got {output!r}")
     if getattr(args, "out", None) is not None:
         output = args.out
     if output is None:
         raise ConfigError("missing output path (config 'output' or --out)")
+    # refuse a path in a missing directory before any trial runs
+    if not Path(output).parent.is_dir():
+        raise ConfigError(f"cannot write {output!r}: no such directory")
 
     return {
         "instances": instances,
@@ -256,7 +260,7 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
         "mechanisms": mechs,
         "trials": trials,
         "seed": seed,
-        "output": str(output),
+        "output": output,
     }
 
 
@@ -266,7 +270,11 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
 def _write_csv(path: str, rows: list[dict], footer: str = "") -> None:
     """Write dict rows under a header of the first row's keys, each value
     through _fmt, then `footer` verbatim."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    try:
+        f = open(path, "w", newline="", encoding="utf-8")
+    except OSError as e:
+        raise ValueError(f"cannot write {path!r}: {e.strerror}") from None
+    with f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(rows[0].keys())
         w.writerows([_fmt(v) for v in row.values()] for row in rows)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -37,18 +36,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-
-RngLike = Union[RandomStream, np.random.Generator]
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    """Accept either a RandomStream or a live numpy Generator."""
-    if isinstance(rng, RandomStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RandomStream or numpy Generator, got {type(rng)!r}")
 
 
 @dataclass(frozen=True)
@@ -226,12 +213,11 @@ def favorite_pairs(rankings: np.ndarray, quotas: tuple[int, ...]) -> np.ndarray:
     return pairs
 
 
-def derive_preferences(profile: ValuationProfile, rng: RngLike) -> PreferenceProfile:
+def derive_preferences(profile: ValuationProfile, gen: np.random.Generator) -> PreferenceProfile:
     """Turn a valuation profile into strict rankings.
 
     Draw layout: one uniform tag per (agent, item) cell, n*m draws total.
     """
-    gen = as_generator(rng)
     inst = profile.instance
     tags = gen.random(inst.n * inst.m).reshape(inst.n, inst.m)
     return PreferenceProfile(inst, top_items(profile.values, tags, inst.m))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Instance, RngLike, ValuationProfile, as_generator
+from .core import Instance, ValuationProfile
 
 # The spec fields each kind takes, with the default of an optional field
 # (None marks a required one).  A field outside its kind's entry must stay None.
@@ -171,9 +171,8 @@ def values_from_uniforms(spec: DistributionSpec, inst: Instance, u: np.ndarray) 
     raise AssertionError(f"unhandled kind {spec.kind}")
 
 
-def sample_profile(spec: DistributionSpec, inst: Instance, rng: RngLike) -> ValuationProfile:
+def sample_profile(spec: DistributionSpec, inst: Instance, gen: np.random.Generator) -> ValuationProfile:
     """Draw one valuation profile."""
     validate_for_instance(spec, inst)
-    gen = as_generator(rng)
     u = gen.random(sample_draw_count(spec, inst))
     return ValuationProfile(inst, values_from_uniforms(spec, inst, u))

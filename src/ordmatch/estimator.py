@@ -353,11 +353,13 @@ def _run_group(fn, task: tuple, ranges: list[tuple[int, int]]) -> list:
 
 
 def _validated(
-    mechs: tuple[MechanismSpec, ...], dist: DistributionSpec, inst: Instance, trials: int
+    mechs: tuple[MechanismSpec, ...], dist: DistributionSpec, inst: Instance, trials: int, seed: int
 ) -> tuple:
     """The parameters of each mechanism, after checking the call."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
     distributions.validate_for_instance(dist, inst)
     return tuple(mechanisms.mechanism_params(mech, inst) for mech in mechs)
 
@@ -375,7 +377,7 @@ def _map_chunks(
     oversized trial is refused first.  Serially the chunks run as one group;
     with more workers, they are cut into one contiguous group per worker."""
     batch = _batch_size(inst)
-    task = (mechs, dist, inst, _validated(mechs, dist, inst, trials), seed)
+    task = (mechs, dist, inst, _validated(mechs, dist, inst, trials, seed), seed)
     ranges = _plan(trials, batch)
     groups = min(workers, len(ranges))
     if groups <= 1:
@@ -638,19 +640,6 @@ def run_lb_secretary(m: int, trials: int, seed: int, *, workers: int | None = No
     )
 
 
-def gap_report(
-    mech: MechanismSpec,
-    inst: Instance,
-    dist: DistributionSpec,
-    trials: int,
-    seed: int,
-    *,
-    workers: int | None = None,
-) -> GapReport:
-    """Distortion estimate divided by the per-instance benchmark floor."""
-    return GapReport.of(estimate_distortion(mech, dist, inst, trials, seed, workers=workers), inst)
-
-
 def uf_audit(dist: DistributionSpec, inst: Instance, trials: int, seed: int) -> UFAuditReport:
     """Tabulate observed favorite-bundle frequencies against the uniform
     distribution over b_i-subsets and report a chi-square statistic per agent.
@@ -691,7 +680,7 @@ def uf_audit(dist: DistributionSpec, inst: Instance, trials: int, seed: int) -> 
 def _reference_trials(mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int):
     """Yield (profile, prefs, matching) of trials 0, 1, ..., each drawn from
     RandomStream(seed, t) through the single-run API."""
-    _validated((mech,), dist, inst, trials)
+    _validated((mech,), dist, inst, trials, seed)
     for t in range(trials):
         gen = RandomStream(seed, t).generator()
         profile = distributions.sample_profile(dist, inst, gen)

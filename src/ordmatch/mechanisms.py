@@ -41,8 +41,6 @@ from .core import (
     Instance,
     Matching,
     PreferenceProfile,
-    RngLike,
-    as_generator,
     complete_matching,
     favorite_pairs,
 )
@@ -342,14 +340,16 @@ def q_exact_per_agent(spec: MechanismSpec, inst: Instance) -> list[float]:
     return _MECHANISMS[spec.kind].q_exact(spec, inst)
 
 
-def run_mechanism(spec: MechanismSpec, inst: Instance, prefs: PreferenceProfile, rng: RngLike) -> Matching:
-    """Run one mechanism once: draw its uniform block from `rng`, run the
+def run_mechanism(
+    spec: MechanismSpec, inst: Instance, prefs: PreferenceProfile, gen: np.random.Generator
+) -> Matching:
+    """Run one mechanism once: draw its uniform block from `gen`, run the
     batched kernel on a batch of one, and apply the optional quota-filling
     post-pass.  Bit-identical to the same trial inside the batched engine."""
     if prefs.instance != inst:
         raise ValueError("preference profile was derived for a different instance")
     params = mechanism_params(spec, inst)
-    u = as_generator(rng).random(mechanism_draw_count(spec, inst))
+    u = gen.random(mechanism_draw_count(spec, inst))
     fav = favorite_pairs(prefs.rankings, inst.quotas)
     assignment = assign_from_uniforms(spec, inst, params, fav[None], u[None])
     matching = Matching(assignment[0])

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from ordmatch import (
+    GapReport,
     Instance,
     RandomStream,
     estimate_assignment_probs,
     estimate_distortion,
-    gap_report,
     run_lb_secretary,
     run_lb_theorem1,
 )
@@ -59,7 +59,7 @@ def test_criterion_2_rs_exact_marginals():
     worst_dev = 0.0
     for _ in range(20):
         inst = random_instance(gen, n_max=6, m_max=12)
-        rep = estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 200_000, 102)
+        rep = estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 200_000, 102, workers=os.cpu_count())
         for i in range(inst.n):
             q = analytics.rs_q_exact(inst, i)
             assert q >= floor - 1e-12
@@ -110,13 +110,13 @@ def test_criterion_5_hql_equality_and_distortion():
     for k in range(10):
         inst = random_instance(gen, n_max=6, m_max=12)
         target = analytics.hql_q(inst)
-        rep = estimate_assignment_probs(MechanismSpec.hql(), UNIFORM, inst, 200_000, 1105 + k)
+        rep = estimate_assignment_probs(MechanismSpec.hql(), UNIFORM, inst, 200_000, 1105 + k, workers=os.cpu_count())
         for i in range(inst.n):
             for t in range(inst.quotas[i]):
                 dev = abs(float(rep.q_hat[i][t]) - target)
                 assert dev <= float(rep.half_width[i][t]), (inst.quotas, i, t, dev)
                 worst_dev = max(worst_dev, dev)
-        dist_rep = estimate_distortion(MechanismSpec.hql(), UNIFORM, inst, 40_000, 205 + k)
+        dist_rep = estimate_distortion(MechanismSpec.hql(), UNIFORM, inst, 40_000, 205 + k, workers=os.cpu_count())
         bound = analytics.hql_distortion_bound(inst)
         assert dist_rep.distortion_estimate <= bound + 3 * dist_rep.stderr_ratio, inst.quotas
     _ok(5, f"10 instances: ranks within 3-sigma of m/(2m-b_max) (worst dev {worst_dev:.5f}), distortion <= 2 - b_max/m")
@@ -129,7 +129,8 @@ def test_criterion_6_distortion_gap_ceilings():
     assert any(Instance(q).b_max * 2 == Instance(q).m for q in rsbs_sweep)
     worst = 0.0
     for k, quotas in enumerate(rsbs_sweep):
-        rep = gap_report(MechanismSpec.rsbs(), Instance(quotas), FAVORITE_01, 40_000, 106 + k)
+        inst = Instance(quotas)
+        rep = GapReport.of(estimate_distortion(MechanismSpec.rsbs(), FAVORITE_01, inst, 40_000, 106 + k), inst)
         tol = 3 * rep.estimate.stderr_ratio / rep.benchmark_lb
         assert rep.gap_ratio <= 1.0765 + tol, (quotas, rep.gap_ratio)
         worst = max(worst, rep.gap_ratio)
@@ -138,7 +139,7 @@ def test_criterion_6_distortion_gap_ceilings():
     worst_hql = 0.0
     for k in range(100):
         inst = random_instance(gen, n_max=6, m_max=12)
-        rep = gap_report(MechanismSpec.hql(), inst, FAVORITE_01, 10_000, 306 + k)
+        rep = GapReport.of(estimate_distortion(MechanismSpec.hql(), FAVORITE_01, inst, 10_000, 306 + k), inst)
         tol = 3 * rep.estimate.stderr_ratio / rep.benchmark_lb
         assert rep.gap_ratio <= 2 - 2 / math.e + tol, (inst.quotas, rep.gap_ratio)
         worst_hql = max(worst_hql, rep.gap_ratio)
@@ -175,8 +176,10 @@ def test_criterion_8_secretary_marginals_and_threshold():
     worst_dev = 0.0
     for k in range(10):
         inst = random_instance(gen, n_max=6, m_max=12)
-        a = estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 100_000, 108 + k)
-        b = estimate_assignment_probs(MechanismSpec.secretary_rs(), UNIFORM, inst, 100_000, 208 + k)
+        a = estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 100_000, 108 + k, workers=os.cpu_count())
+        b = estimate_assignment_probs(
+            MechanismSpec.secretary_rs(), UNIFORM, inst, 100_000, 208 + k, workers=os.cpu_count()
+        )
         for i in range(inst.n):
             for t in range(inst.quotas[i]):
                 dev = abs(float(a.q_hat[i][t]) - float(b.q_hat[i][t]))
@@ -184,7 +187,7 @@ def test_criterion_8_secretary_marginals_and_threshold():
                 assert dev <= tol, (inst.quotas, i, t, dev, tol)
                 worst_dev = max(worst_dev, dev)
 
-    rep = run_lb_secretary(20, 500_000, 308)
+    rep = run_lb_secretary(20, 500_000, 308, workers=os.cpu_count())
     assert rep.threshold == pytest.approx(0.7564102564102564, abs=1e-12)
     err = rep.stderr_yield if rep.min_side == rep.yield_big else rep.stderr_top
     assert rep.min_side <= rep.threshold + 3 * err

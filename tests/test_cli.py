@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordmatch import DistributionSpec, Instance, MechanismSpec, analytics, gap_report
+from ordmatch import DistributionSpec, GapReport, Instance, MechanismSpec, analytics, estimate_distortion
 from ordmatch import cli
 from ordmatch.cli import main
 
@@ -83,7 +83,7 @@ class TestRun:
             [DistributionSpec.iid_uniform01(), DistributionSpec.favorite_bundle_uniform(1.0, 0.0)],
         )
         for row, (inst, mech, dist) in zip(rows[1:], cells):
-            gap = gap_report(mech, inst, dist, 400, 3)
+            gap = GapReport.of(estimate_distortion(mech, dist, inst, 400, 3), inst)
             rep = gap.estimate
             expected = (rep.mean_opt, rep.mean_sw, rep.distortion_estimate, rep.stderr_ratio)
             assert row[2:5] == ["|".join(map(str, inst.quotas)), mech.label(), dist.label()]
@@ -154,7 +154,7 @@ class TestRun:
         assert main(["run", cfg, "--complete"]) == 0
         header, *rows = read_rows(tmp_path / "out.csv")
         rs = MechanismSpec.rs(complete=True)
-        forced = gap_report(rs, Instance((2, 1)), DistributionSpec.iid_uniform01(), 200, 3).estimate
+        forced = estimate_distortion(rs, DistributionSpec.iid_uniform01(), Instance((2, 1)), 200, 3)
         assert [row[header.index("mean_sw")] for row in rows] == [cli._fmt(forced.mean_sw)] * 2
 
     @pytest.mark.parametrize("command", ["probs", "ufaudit"])
@@ -185,6 +185,21 @@ class TestRun:
                 id="mechanism-complete-string",
             ),
             pytest.param({"complete": "false"}, "complete", id="complete-string"),
+            pytest.param({"complete": True}, "complete", id="top-level-complete"),
+            pytest.param({"output": ["a", 1]}, "output", id="output-list"),
+            pytest.param({"instances": [{"quotas": [1, 1]}]}, "instances", id="instance-and-instances"),
+            pytest.param({"mechanisms": [{"name": "rs"}]}, "mechanisms", id="mechanism-and-mechanisms"),
+            pytest.param(
+                {"distributions": [{"name": "iid-uniform01"}]},
+                "distributions",
+                id="distribution-and-distributions",
+            ),
+            pytest.param(
+                {"instance": {"quotas": [1, 1], "generator": "nonsense"}},
+                "instance.generator",
+                id="quotas-with-generator",
+            ),
+            pytest.param({"instance": {"quotas": [1, 1], "n": 2}}, "instance.n", id="quotas-with-n"),
             pytest.param({"trails": 50}, "trails", id="top-level-unknown"),
             pytest.param({"flags": {"complete": True}}, "flags", id="top-level-flags"),
             pytest.param({"instance": {"quotas": [1, 1], "foo": 1}}, "instance.foo", id="instance-unknown"),
@@ -194,7 +209,7 @@ class TestRun:
                 id="mechanism-unknown",
             ),
             pytest.param(
-                {"instances": [{"quotas": [1, 1]}, {"quotas": [2], "size": 1}]},
+                {"instance": None, "instances": [{"quotas": [1, 1]}, {"quotas": [2], "size": 1}]},
                 "instances[1].size",
                 id="listed-instance-unknown",
             ),
@@ -281,19 +296,40 @@ class TestRun:
             ),
         ],
     )
-    def test_field_precise_error(self, tmp_path, capsys, override, field):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {
-                "instance": {"quotas": [1, 1]},
-                "distribution": {"name": "iid-uniform01"},
-                "mechanism": {"name": "rs"},
-                "output": str(tmp_path / "x.csv"),
-                **override,
-            },
-        )
-        assert main(["run", cfg]) == 2
+    def test_field_precise_error(self, tmp_path, capsys, monkeypatch, override, field):
+        monkeypatch.chdir(tmp_path)  # a wrongly accepted relative output lands here
+        base = {
+            "instance": {"quotas": [1, 1]},
+            "distribution": {"name": "iid-uniform01"},
+            "mechanism": {"name": "rs"},
+            "output": str(tmp_path / "x.csv"),
+        }
+        # an override of None drops that key of the base config
+        payload = {k: v for k, v in {**base, **override}.items() if v is not None}
+        assert main(["run", write_config(tmp_path / "c.json", payload)]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {**BASE_RUN, "trials": 10})
+        missing = str(tmp_path / "missing" / "x.csv")
+        assert main(["run", cfg, "--out", missing]) == 2
+        assert f"config error: cannot write {missing!r}: no such directory" in capsys.readouterr().err
+        # the directory exists but the path is itself a directory: refused at write time
+        assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+        assert f"error: cannot write {str(tmp_path)!r}:" in capsys.readouterr().err
+        assert main(["curve", "--points", "10", "--out", missing]) == 2
+        assert f"error: cannot write {missing!r}:" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path / "c.json", {**BASE_RUN, "trials": 10, "seed": 2**64, "output": str(out)})
+        assert main(["run", cfg]) == 2
+        assert "error: seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "c.json", {**BASE_RUN, "trials": 10, "output": str(out)})
+        assert main(["run", cfg, "--seed", str(2**64)]) == 2
+        assert "error: seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_geometric_quotas_without_spare_items_are_ones(self):
         # the weight sum overflows here too, but with m == n there is nothing to share out

@@ -92,7 +92,7 @@ class TestDerivePreferences:
         values = np.array([[0.9, 0.1, 0.5], [0.2, 0.3, 0.1], [0.1, 0.2, 0.3]])
         profile = ValuationProfile(inst, values)
         for seed in range(5):
-            prefs = derive_preferences(profile, RandomStream(seed))
+            prefs = derive_preferences(profile, RandomStream(seed).generator())
             assert tuple(prefs.rankings[0]) == (0, 2, 1)
             assert set(prefs.rankings[0, :1]) == {0}
 

@@ -76,17 +76,17 @@ class TestSpecValidation:
     def test_rejects_mismatched_instance(self):
         inst = Instance((1, 1))
         with pytest.raises(ValueError):
-            sample_profile(DistributionSpec.single_agent_adversarial(5), inst, RandomStream(0))
+            sample_profile(DistributionSpec.single_agent_adversarial(5), inst, RandomStream(0).generator())
         with pytest.raises(ValueError):
-            sample_profile(DistributionSpec.exchangeable_permutation([1.0]), inst, RandomStream(0))
+            sample_profile(DistributionSpec.exchangeable_permutation([1.0]), inst, RandomStream(0).generator())
 
 
 class TestSampling:
     def test_bernoulli_degenerate(self):
         inst = Instance((2, 2))
-        ones = sample_profile(DistributionSpec.iid_bernoulli(1.0), inst, RandomStream(1))
+        ones = sample_profile(DistributionSpec.iid_bernoulli(1.0), inst, RandomStream(1).generator())
         assert np.all(ones.values == 1.0)
-        zeros = sample_profile(DistributionSpec.iid_bernoulli(0.0), inst, RandomStream(1))
+        zeros = sample_profile(DistributionSpec.iid_bernoulli(0.0), inst, RandomStream(1).generator())
         assert np.all(zeros.values == 0.0)
 
     def test_lower_bound_marginal_mean(self):
@@ -103,7 +103,7 @@ class TestSampling:
 
     def test_adversarial_single_one(self):
         inst = Instance((1, 1))
-        profile = sample_profile(DistributionSpec.single_agent_adversarial(1), inst, RandomStream(3))
+        profile = sample_profile(DistributionSpec.single_agent_adversarial(1), inst, RandomStream(3).generator())
         assert np.all(profile.values[0] == 0.0)
         assert profile.values[1].sum() == 1.0
 
@@ -149,12 +149,12 @@ class TestSampling:
     def test_reproducibility_across_variants(self):
         inst = Instance((2, 2, 1))
         for spec in ALL_VARIANTS + [exchangeable_for(inst)]:
-            a = sample_profile(spec, inst, RandomStream(99, 3)).values
-            b = sample_profile(spec, inst, RandomStream(99, 3)).values
+            a = sample_profile(spec, inst, RandomStream(99, 3).generator()).values
+            b = sample_profile(spec, inst, RandomStream(99, 3).generator()).values
             assert np.array_equal(a, b), spec.kind
         # discrete variants may collide across streams; the continuous one cannot
-        a = sample_profile(DistributionSpec.iid_uniform01(), inst, RandomStream(99, 3)).values
-        c = sample_profile(DistributionSpec.iid_uniform01(), inst, RandomStream(99, 4)).values
+        a = sample_profile(DistributionSpec.iid_uniform01(), inst, RandomStream(99, 3).generator()).values
+        c = sample_profile(DistributionSpec.iid_uniform01(), inst, RandomStream(99, 4).generator()).values
         assert not np.array_equal(a, c)
 
     def test_mapping_a_block_view_equals_mapping_a_copy(self):

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from ordmatch import (
+    GapReport,
     Instance,
     RandomStream,
     derive_preferences,
     estimate_assignment_probs,
     estimate_distortion,
     estimate_distortions,
-    gap_report,
     run_lb_secretary,
     run_lb_theorem1,
     sample_profile,
@@ -93,6 +93,19 @@ class TestDistortionEstimates:
             estimate_distortion(MechanismSpec.rs(), UNIFORM, inst, 0, 1)
         with pytest.raises(ValueError):
             estimate_distortion(MechanismSpec.rs(), UNIFORM, inst, 10, 1, workers=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        inst = Instance((1, 1))
+        # the same check and message as RandomStream's
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            RandomStream(seed)
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            estimate_distortion(MechanismSpec.rs(), UNIFORM, inst, 10, seed)
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 10, seed)
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            uf_audit(UNIFORM, inst, 10, seed)
 
 
 class TestBatchMatchesReference:
@@ -342,7 +355,7 @@ class TestChunkBudget:
         estimator.opt.linear_sum_assignment(np.eye(2))  # the solver loads on its first call
         for dist in dists:
             for fn, mechs in chunks:
-                task = (mechs, dist, inst, estimator._validated(mechs, dist, inst, batch), 17)
+                task = (mechs, dist, inst, estimator._validated(mechs, dist, inst, batch, 17), 17)
                 block = np.empty((batch, sum(estimator._trial_layout(mechs, dist, inst))))
                 tracemalloc.start()
                 try:
@@ -443,11 +456,12 @@ class TestAdversarialReplays:
 
 class TestGapReport:
     def test_single_agent_ratio_one(self):
-        rep = gap_report(MechanismSpec.rs(complete=True), Instance((2,)), UNIFORM, 400, 60)
+        inst = Instance((2,))
+        rep = GapReport.of(estimate_distortion(MechanismSpec.rs(complete=True), UNIFORM, inst, 400, 60), inst)
         assert rep.benchmark_lb == 1.0
         assert rep.gap_ratio == 1.0
 
     def test_ratio_consistent(self):
         inst = Instance((2, 1, 1))
-        rep = gap_report(MechanismSpec.rsbs(), inst, UNIFORM, 3_000, 61)
+        rep = GapReport.of(estimate_distortion(MechanismSpec.rsbs(), UNIFORM, inst, 3_000, 61), inst)
         assert rep.gap_ratio == rep.estimate.distortion_estimate / rep.benchmark_lb

@@ -171,22 +171,22 @@ class TestSerialDictator:
     def test_disjoint_favorites_all_served(self):
         inst = Instance((1, 1))
         prefs = manual_prefs(inst, [[0, 1], [1, 0]])
-        matching = run_mechanism(MechanismSpec.serial_dictator((0, 1)), inst, prefs, RandomStream(0))
+        matching = run_mechanism(MechanismSpec.serial_dictator((0, 1)), inst, prefs, RandomStream(0).generator())
         assert list(matching.assignment) == [0, 1]
 
     def test_dictatorship_and_symmetry(self):
         inst = Instance((1, 1))
         prefs = manual_prefs(inst, [[0, 1], [0, 1]])
-        first = run_mechanism(MechanismSpec.serial_dictator((0, 1)), inst, prefs, RandomStream(0))
+        first = run_mechanism(MechanismSpec.serial_dictator((0, 1)), inst, prefs, RandomStream(0).generator())
         assert first.assignment[0] == 0 and first.assignment[1] == -1
-        flipped = run_mechanism(MechanismSpec.serial_dictator((1, 0)), inst, prefs, RandomStream(0))
+        flipped = run_mechanism(MechanismSpec.serial_dictator((1, 0)), inst, prefs, RandomStream(0).generator())
         assert flipped.assignment[0] == 1 and flipped.assignment[1] == -1
 
     def test_rejects_invalid_order(self):
         inst = Instance((1, 1))
         prefs = manual_prefs(inst, [[0, 1], [1, 0]])
         with pytest.raises(ValueError):
-            run_mechanism(MechanismSpec.serial_dictator((0, 0)), inst, prefs, RandomStream(0))
+            run_mechanism(MechanismSpec.serial_dictator((0, 0)), inst, prefs, RandomStream(0).generator())
 
 
 class TestStructuralProperties:
@@ -234,4 +234,4 @@ class TestStructuralProperties:
         profile = sample_profile(DistributionSpec.iid_uniform01(), other, gen)
         prefs = derive_preferences(profile, gen)
         with pytest.raises(ValueError):
-            run_mechanism(MechanismSpec.rs(), inst, prefs, RandomStream(1))
+            run_mechanism(MechanismSpec.rs(), inst, prefs, RandomStream(1).generator())

@@ -197,20 +197,25 @@ def top_items(values: np.ndarray, tags: np.ndarray, depth: int) -> np.ndarray:
     return top if depth == m else top[..., :depth].copy()
 
 
-def favorite_pairs(rankings: np.ndarray, quotas: tuple[int, ...]) -> np.ndarray:
+def favorite_pairs(rankings: np.ndarray, quotas: tuple[int, ...]) -> tuple:
     """Favorite pair table: the m (item, agent) favorite pairs of each trial,
-    encoded as item * n + agent and sorted, so by item and then by agent.
+    sorted by item and then by agent, as (agent, cell, slot, shape).
 
     `rankings` has shape (..., n, k) with k >= max(quotas): only the first
-    b_i entries of row i are read, so a top_items table will do.  Returns
-    int64 of shape (..., m).
+    b_i entries of row i are read, so a top_items table will do.  The table
+    has shape (..., m); agent, cell and slot are flat int64 arrays with one
+    entry per pair: its agent, its (trial, item) cell trial * m + item, which
+    ascends along the table, and its (trial, agent) slot trial * n + agent.
     """
     q = np.asarray(quotas, dtype=np.int64)
     n = q.size
     top = np.arange(rankings.shape[-1]) < q[:, None]
-    pairs = rankings[..., top] * n + np.repeat(np.arange(n), q)
+    pairs = rankings[..., top] * n + np.repeat(np.arange(n), q)  # item * n + agent
     pairs.sort(axis=-1)
-    return pairs
+    m = pairs.shape[-1]
+    item, agent = np.divmod(pairs.reshape(-1, m), n)
+    trial = np.arange(item.shape[0])[:, None]
+    return agent.reshape(-1), (item + m * trial).reshape(-1), (agent + n * trial).reshape(-1), pairs.shape
 
 
 def derive_preferences(profile: ValuationProfile, gen: np.random.Generator) -> PreferenceProfile:

@@ -269,11 +269,13 @@ def _chunk_arrays(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.
     trials [t0, t1) of `task` = (mechs, dist, inst, params, seed), drawn into
     the first t1 - t0 rows of the call's uniform `block`.  Every mechanism
     runs on the same profiles and rankings, reading its own layout's prefix
-    of the mechanism block.  The table covers ranks up to the largest quota,
-    all any caller inspects.  The values are mapped in place, so except under
-    single-agent-adversarial they are a view of `block`, valid until the
-    next chunk refills it; the table and the assignments are new arrays, and
-    no chunk result is a view of `block`."""
+    of the mechanism block and the one favorite pair table decoded for the
+    chunk, which a chunk without mechanisms never builds.  The ranking table
+    covers ranks up to the largest quota, all any caller inspects.  The
+    values are mapped in place, so except under single-agent-adversarial
+    they are a view of `block`, valid until the next chunk refills it; the
+    ranking table and the assignments are new arrays, and no chunk result is
+    a view of `block`."""
     mechs, dist, inst, params, seed = task
     n, m = inst.n, inst.m
     d_sample, d_tags, _ = _trial_layout(mechs, dist, inst)
@@ -282,7 +284,7 @@ def _chunk_arrays(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.
     values = distributions.values_from_uniforms(dist, inst, block[:, :d_sample])
     tags = block[:, d_sample : d_sample + d_tags].reshape(batch, n, m)
     top = top_items(values, tags, inst.b_max)
-    fav = favorite_pairs(top, inst.quotas)
+    fav = favorite_pairs(top, inst.quotas) if mechs else None
     start = d_sample + d_tags
     assignments = [
         mechanisms.assign_from_uniforms(
@@ -516,13 +518,17 @@ def estimate_distortions(
 ) -> list[EstimateReport]:
     """One `estimate_distortion` report per mechanism of `mechs`, each bitwise
     equal to that mechanism's own call, from one pass over the trials: every
-    mechanism sees the same profiles, and the optimum is solved once."""
+    mechanism sees the same profiles, and the optimum is solved once.  Values
+    whose welfare sums or statistics leave float64 raise ValueError."""
     mechs = tuple(mechs)
     if not mechs:
         raise ValueError("need at least one mechanism")
-    sw, opt_vals = _collect_distortion(mechs, dist, inst, trials, seed, _resolve_workers(workers))
-    stats = _opt_stats(opt_vals)
-    return [_build_estimate(row, opt_vals, stats, trials, seed) for row in sw]
+    try:
+        sw, opt_vals = _collect_distortion(mechs, dist, inst, trials, seed, _resolve_workers(workers))
+        stats = _opt_stats(opt_vals)
+        return [_build_estimate(row, opt_vals, stats, trials, seed) for row in sw]
+    except OverflowError:  # math.fsum and float powers raise it past the float64 range
+        raise ValueError("values too large: a welfare sum, or a power of one, leaves float64") from None
 
 
 def estimate_assignment_probs(

@@ -5,9 +5,9 @@ of each ranking) plus its own coin flips; rankings are accepted as input so
 callers can measure rank-indexed assignment probabilities.
 
 The kernels read the favorite sets as a pair table: per trial, the m
-(item, agent) favorite pairs encoded as item * n + agent and sorted, so by
-item and then by agent (`core.favorite_pairs`).  Item g's demanders are then
-one contiguous run of the table, which every kernel reduces with flat
+(item, agent) favorite pairs sorted by item and then by agent, decoded once
+per chunk by `core.favorite_pairs`.  Item g's demanders are then one
+contiguous run of the table, which every kernel reduces with flat
 bincount/cumsum/minimum passes over m pairs instead of n * m mask cells.
 
 Each mechanism is defined once, in the private `_MECHANISMS` registry, and
@@ -152,32 +152,22 @@ def hql_parameters(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
 # --- pure assignment kernels (leading batch dimensions allowed) -------------
 
 
-def _pair_index(fav: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat views of a favorite pair table: the agent of every pair, its
-    (trial, item) cell in a flattened (..., m) array, which ascends along the
-    table, and its (trial, agent) slot in a flattened (..., n) array."""
-    m = fav.shape[-1]
-    item, agent = np.divmod(fav.reshape(-1, m), n)
-    trial = np.arange(item.shape[0])[:, None]
-    return agent.reshape(-1), (item + m * trial).reshape(-1), (agent + n * trial).reshape(-1)
-
-
-def rs_assign(p_survive: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndarray:
+def rs_assign(p_survive: np.ndarray, fav: tuple, u: np.ndarray) -> np.ndarray:
     """Survivor lottery: each item with surviving demand goes to a uniformly
     random surviving agent whose favorite it is.
 
     Item g's surviving demanders are one run, in agent order, of the
     surviving pairs; the winner is entry start[g] + pick - 1 of them."""
     n = p_survive.shape[-1]
-    m = fav.shape[-1]
-    agent, cell, slot = _pair_index(fav, n)
+    agent, cell, slot, shape = fav
+    m = shape[-1]
     alive = (u[..., :n] < p_survive).reshape(-1)[slot]
     count = np.bincount(cell[alive], minlength=cell.size)
     start = np.cumsum(count) - count
     pick = (u[..., n : n + m].reshape(-1) * count).astype(np.int64) + 1  # 1-based rank among demanders
     survivors = np.append(agent[alive], UNASSIGNED)  # the sentinel keeps undemanded items in range
     winner = np.where(count > 0, survivors[start + pick - 1], UNASSIGNED)
-    return winner.reshape(fav.shape)
+    return winner.reshape(shape)
 
 
 def rsbs_assign(
@@ -185,14 +175,15 @@ def rsbs_assign(
     p_survive_phase1: np.ndarray,
     betas: np.ndarray,
     sigma: float,
-    fav: np.ndarray,
+    fav: tuple,
     u: np.ndarray,
 ) -> np.ndarray:
     """Three phases: survivor lottery without i_star, independent whole-bundle
-    burns, then i_star collects unassigned favorites and steals the rest of
-    them with one sigma coin."""
+    burns, then i_star takes each of its favorites that is free, or that
+    anyone holds when the one sigma steal coin fires."""
     n = betas.shape[-1]
-    m = fav.shape[-1]
+    agent, cell, _, shape = fav
+    m = shape[-1]
     phase1 = rs_assign(p_survive_phase1, fav, u)
 
     burn = u[..., n + m : 2 * n + m] < betas
@@ -201,40 +192,37 @@ def rsbs_assign(
     burnt = np.take_along_axis(burn, holder, axis=-1) & assigned
     phase2 = np.where(burnt, UNASSIGNED, phase1)
 
-    agent, cell, _ = _pair_index(fav, n)
-    fav_star = np.zeros(fav.shape, dtype=bool)
+    fav_star = np.zeros(shape, dtype=bool)
     fav_star.reshape(-1)[cell[agent == i_star]] = True
-    phase3 = np.where(fav_star & (phase2 < 0), i_star, phase2)
     steal = np.asarray(u[..., 2 * n + m] < sigma)[..., None]
-    held_by_other = fav_star & (phase3 >= 0) & (phase3 != i_star)
-    return np.where(held_by_other & steal, i_star, phase3).astype(np.int64)
+    return np.where(fav_star & ((phase2 < 0) | steal), i_star, phase2).astype(np.int64)
 
 
-def one_pass_assign(order: np.ndarray, active: np.ndarray, fav: np.ndarray) -> np.ndarray:
+def one_pass_assign(order: np.ndarray, active: np.ndarray, fav: tuple) -> np.ndarray:
     """Visit the agents in `order`, one fixed (n,) order or one (..., n) order
     per trial; the agent at position pos, when active[..., pos], irrevocably
     takes every still-available favorite.  So each item goes to the active
     demander visited first."""
     n = order.shape[-1]
-    lead = fav.shape[:-1]
+    _, cell, slot, shape = fav
+    lead = shape[:-1]
     order = np.broadcast_to(order, (*lead, n))
     # visit position of each agent; an inactive agent sits at n, after everyone
     position = np.empty((*lead, n), dtype=np.int64)
     np.put_along_axis(position, order, np.where(active, np.arange(n), n), axis=-1)
-    _, cell, slot = _pair_index(fav, n)
-    first_visit = np.full(fav.shape, n, dtype=np.int64)
+    first_visit = np.full(shape, n, dtype=np.int64)
     np.minimum.at(first_visit.reshape(-1), cell, position.reshape(-1)[slot])
     winner = np.take_along_axis(order, np.minimum(first_visit, n - 1), axis=-1)
     return np.where(first_visit < n, winner, UNASSIGNED).astype(np.int64)
 
 
-def _hql_assign(order: np.ndarray, p_activate: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _hql_assign(order: np.ndarray, p_activate: np.ndarray, fav: tuple, u: np.ndarray) -> np.ndarray:
     """Highest quota last: one pass over a fixed order, the agent at position
     pos activated by its own coin u_activate[pos]."""
     return one_pass_assign(order, u[..., : order.shape[0]] < p_activate, fav)
 
 
-def _secretary_assign(p_survive: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _secretary_assign(p_survive: np.ndarray, fav: tuple, u: np.ndarray) -> np.ndarray:
     """Survivor lottery visited in a uniformly random agent order; a visited
     survivor takes every still-available favorite."""
     n = p_survive.shape[-1]
@@ -243,7 +231,7 @@ def _secretary_assign(p_survive: np.ndarray, fav: np.ndarray, u: np.ndarray) -> 
     return one_pass_assign(order, np.take_along_axis(survive, order, axis=-1), fav)
 
 
-def _serial_assign(order: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _serial_assign(order: np.ndarray, fav: tuple, u: np.ndarray) -> np.ndarray:
     """Deterministic one-pass baseline: each agent in turn takes every
     still-available favorite with certainty."""
     return one_pass_assign(order, np.ones(order.shape, dtype=bool), fav)
@@ -255,9 +243,9 @@ def _serial_assign(order: np.ndarray, fav: np.ndarray, u: np.ndarray) -> np.ndar
 @dataclass(frozen=True)
 class _Mechanism:
     """One mechanism's whole definition.  The kernel is called as
-    `assign(*params(spec, inst), fav, u)`: fav is the (..., m) favorite pair
-    table of core.favorite_pairs (item * n + agent, sorted), u has shape
-    (..., draw_count(n, m)), and it returns (..., m) item holders."""
+    `assign(*params(spec, inst), fav, u)`: fav is the decoded favorite pair
+    table of core.favorite_pairs, u has shape (..., draw_count(n, m)), and
+    it returns (..., m) item holders."""
 
     draw_count: Callable[[int, int], int]
     params: Callable[[MechanismSpec, Instance], tuple]
@@ -324,13 +312,14 @@ def assign_from_uniforms(
     spec: MechanismSpec,
     inst: Instance,
     params: tuple,
-    fav: np.ndarray,
+    fav: tuple,
     u: np.ndarray,
 ) -> np.ndarray:
     """Run a mechanism from a pre-drawn uniform block (layout above).
 
     `params` must come from mechanism_params(spec, inst); `u` has shape
-    (..., mechanism_draw_count) and the favorite pair table `fav` (..., m).
+    (..., mechanism_draw_count) and `fav` is core.favorite_pairs of rankings
+    with the same leading shape.
     """
     return _MECHANISMS[spec.kind].assign(*params, fav, u)
 
@@ -350,8 +339,8 @@ def run_mechanism(
         raise ValueError("preference profile was derived for a different instance")
     params = mechanism_params(spec, inst)
     u = gen.random(mechanism_draw_count(spec, inst))
-    fav = favorite_pairs(prefs.rankings, inst.quotas)
-    assignment = assign_from_uniforms(spec, inst, params, fav[None], u[None])
+    fav = favorite_pairs(prefs.rankings[None], inst.quotas)
+    assignment = assign_from_uniforms(spec, inst, params, fav, u[None])
     matching = Matching(assignment[0])
     if spec.complete:
         matching = complete_matching(matching, inst)

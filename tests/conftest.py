@@ -2,6 +2,7 @@ import numpy as np
 
 from ordmatch import Instance
 from ordmatch.cli import split_quotas
+from ordmatch.core import favorite_pairs
 
 
 def random_quotas(gen: np.random.Generator, n_max: int = 6, m_max: int = 12, n_min: int = 1) -> tuple[int, ...]:
@@ -15,18 +16,18 @@ def random_instance(gen: np.random.Generator, n_max: int = 6, m_max: int = 12, n
     return Instance(random_quotas(gen, n_max=n_max, m_max=m_max, n_min=n_min))
 
 
-def random_favorite_pairs(inst: Instance, lead: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Each agent's favorites, a uniformly random b_i-subset per trial, as a
-    favorite pair table: the m pairs encoded as item * n + agent, sorted."""
-    ranks = np.argsort(rng.random((*lead, inst.n, inst.m)), axis=-1)
-    items = np.concatenate([ranks[..., i, :b] for i, b in enumerate(inst.quotas)], axis=-1)
-    return np.sort(items * inst.n + np.repeat(np.arange(inst.n), inst.quotas), axis=-1)
+def random_favorite_pairs(inst: Instance, lead: tuple[int, ...], rng: np.random.Generator) -> tuple:
+    """Each agent's favorites, a uniformly random b_i-subset per trial, as the
+    decoded favorite pair table of `core.favorite_pairs`."""
+    return favorite_pairs(np.argsort(rng.random((*lead, inst.n, inst.m)), axis=-1), inst.quotas)
 
 
-def pair_mask(pairs: np.ndarray, n: int) -> np.ndarray:
-    """The boolean (n, m) favorite mask of one trial's pair table."""
-    mask = np.zeros((n, len(pairs)), dtype=bool)
-    for key in pairs.tolist():
-        item, agent = divmod(key, n)
-        mask[agent, item] = True
+def pair_mask(fav: tuple, idx: tuple[int, ...], n: int) -> np.ndarray:
+    """The boolean (n, m) favorite mask of trial `idx` of a decoded favorite
+    pair table, read from that trial's agent and cell arrays."""
+    agent, cell, _, shape = fav
+    m = shape[-1]
+    mask = np.zeros((n, m), dtype=bool)
+    for a, c in zip(agent.reshape(shape)[idx].tolist(), cell.reshape(shape)[idx].tolist()):
+        mask[a, c % m] = True
     return mask

@@ -331,6 +331,31 @@ class TestRun:
         assert "error: seed must fit in 64 unsigned bits" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "quotas, distribution, trials",
+        [
+            ([1, 1, 1], {"name": "exchangeable-permutation", "base": [1e200, 0, 0]}, 100),
+            ([2, 1], {"name": "favorite-bundle-uniform", "hi": 1e160, "lo": 0}, 100),
+            ([2, 1], {"name": "exchangeable-permutation", "base": [1e308, 1e308, 0]}, 10),
+        ],
+    )
+    def test_overflowing_welfare_exit_2(self, tmp_path, capsys, quotas, distribution, trials):
+        out = tmp_path / "out.csv"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                **BASE_RUN,
+                "instance": {"quotas": quotas},
+                "distribution": distribution,
+                "trials": trials,
+                "seed": 0,
+                "output": str(out),
+            },
+        )
+        assert main(["run", cfg]) == 2
+        assert "error: values too large: a welfare sum" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_geometric_quotas_without_spare_items_are_ones(self):
         # the weight sum overflows here too, but with m == n there is nothing to share out
         assert cli._geometric_quotas(1024, 1024, 2.0) == (1,) * 1024

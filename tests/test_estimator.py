@@ -28,6 +28,13 @@ from conftest import random_instance
 
 UNIFORM = DistributionSpec.iid_uniform01()
 
+# finite values whose welfare sums, or the squares of those sums, leave float64
+OVERFLOWING = [
+    (Instance((1, 1, 1)), DistributionSpec.exchangeable_permutation([1e200, 0.0, 0.0]), 100),
+    (Instance((2, 1)), DistributionSpec.favorite_bundle_uniform(1e160, 0.0), 100),
+    (Instance((2, 1)), DistributionSpec.exchangeable_permutation([1e308, 1e308, 0.0]), 10),
+]
+
 
 class TestDistortionEstimates:
     def test_single_agent_completed_is_exactly_one(self):
@@ -106,6 +113,11 @@ class TestDistortionEstimates:
             estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 10, seed)
         with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
             uf_audit(UNIFORM, inst, 10, seed)
+
+    @pytest.mark.parametrize("inst, dist, trials", OVERFLOWING)
+    def test_overflowing_welfare_is_a_value_error(self, inst, dist, trials):
+        with pytest.raises(ValueError, match="^values too large: a welfare sum"):
+            estimate_distortion(MechanismSpec.rs(), dist, inst, trials, 0)
 
 
 class TestBatchMatchesReference:
@@ -252,6 +264,15 @@ class TestUFAuditDrawContract:
             assert_tallied()
         monkeypatch.setenv("ORDMATCH_THREADS", "2")  # with 97-trial chunks, two groups of chunks
         assert_tallied()
+
+    def test_builds_no_favorite_pair_table(self, monkeypatch):
+        # an audit runs no mechanism, so no chunk needs the pair table
+        def refuse(*args):
+            raise AssertionError("uf_audit built a favorite pair table")
+
+        monkeypatch.setattr(estimator, "favorite_pairs", refuse)
+        report = uf_audit(UNIFORM, Instance((2, 1)), 50, 3)
+        assert sum(int(a.counts.sum()) for a in report.per_agent) == 2 * 50
 
 
 class TestSharedTrials:

@@ -69,7 +69,7 @@ def test_rs_matches_reference_loop(quotas, lead, seed):
     out = rs_assign(p_survive, fav, u)
     assert out.shape == (*lead, m) and out.dtype == np.int64
     for idx in np.ndindex(lead):
-        mask = pair_mask(fav[idx], n).tolist()
+        mask = pair_mask(fav, idx, n).tolist()
         assert out[idx].tolist() == reference_rs(p_survive.tolist(), mask, u[idx].tolist())
 
 
@@ -86,7 +86,7 @@ def test_rsbs_matches_reference_loop(quotas, lead, seed):
     out = rsbs_assign(i_star, p1, betas, sigma, fav, u)
     assert out.shape == (*lead, m) and out.dtype == np.int64
     for idx in np.ndindex(lead):
-        mask = pair_mask(fav[idx], n).tolist()
+        mask = pair_mask(fav, idx, n).tolist()
         expected = reference_rsbs(i_star, p1.tolist(), betas.tolist(), sigma, mask, u[idx].tolist())
         assert out[idx].tolist() == expected
 
@@ -108,7 +108,7 @@ def test_lottery_mechanisms_through_the_registry(quotas, lead, extra, seed):
         assert np.array_equal(assign_from_uniforms(spec, inst, params, fav, wide), out), spec.kind
         for idx in np.ndindex(lead):
             row = out[idx]
-            mask = pair_mask(fav[idx], inst.n)
+            mask = pair_mask(fav, idx, inst.n)
             assert row.tolist() == reference(*params, mask.tolist(), u[idx].tolist()), spec.kind
             held = np.flatnonzero(row != UNASSIGNED)
             assert mask[row[held], held].all(), spec.kind

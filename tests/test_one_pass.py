@@ -2,6 +2,8 @@
 plain-Python reference loops over random quotas, orders, activation masks and
 batch shapes."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,7 +86,7 @@ def test_one_pass_matches_reference_loop(quotas, lead, per_trial_order, p_active
     assert out.shape == (*lead, inst.m) and out.dtype == np.int64
     for idx in np.ndindex(lead):
         trial_order = order[idx] if per_trial_order else order
-        expected = reference_one_pass(trial_order.tolist(), active[idx].tolist(), pair_mask(fav[idx], inst.n).tolist())
+        expected = reference_one_pass(trial_order.tolist(), active[idx].tolist(), pair_mask(fav, idx, inst.n).tolist())
         assert out[idx].tolist() == expected
     check_completion(out, inst)
 
@@ -132,7 +134,7 @@ def test_one_pass_mechanisms_read_their_layout(quotas, lead, seed):
             else:
                 order = list(pick_order)
                 active = [True] * n
-            expected = reference_one_pass(order, active, pair_mask(fav[idx], n).tolist())
+            expected = reference_one_pass(order, active, pair_mask(fav, idx, n).tolist())
             assert out[idx].tolist() == expected, spec.kind
 
 
@@ -148,8 +150,15 @@ def test_favorite_mask_matches_reference_loop(quotas, lead, truncate, seed):
             for g in rankings[idx][i, :b]:
                 expected[idx][i, g] = True
     table = rankings[..., : inst.b_max] if truncate else rankings
-    pairs = favorite_pairs(table, inst.quotas)
-    assert pairs.shape == (*lead, inst.m) and pairs.dtype == np.int64
-    assert (np.diff(pairs, axis=-1) > 0).all()  # sorted by item, then agent
+    fav = favorite_pairs(table, inst.quotas)
+    agent, cell, slot, shape = fav
+    assert shape == (*lead, inst.m)
+    for a in (agent, cell, slot):
+        assert a.shape == (math.prod(shape),) and a.dtype == np.int64
+    trial = np.repeat(np.arange(math.prod(lead)), inst.m)  # m pairs per trial, trials in order
+    assert np.array_equal(cell // inst.m, trial)
+    assert np.array_equal(slot, trial * inst.n + agent)
+    step, agent_step = np.diff(cell), np.diff(agent)
+    assert ((step > 0) | ((step == 0) & (agent_step > 0)))[np.diff(trial) == 0].all()  # by item, then agent
     for idx in np.ndindex(lead):
-        assert np.array_equal(pair_mask(pairs[idx], inst.n), expected[idx])
+        assert np.array_equal(pair_mask(fav, idx, inst.n), expected[idx])

@@ -7,11 +7,13 @@ of each section, not both), `trials`, `seed` and `output`; an instance takes
 either `quotas` alone or `n`, `m` and `generator`; a mechanism `name`,
 `complete` and `order`; a distribution `name`, `p`, `hi`, `lo`, `agent`,
 `with_replacement` and `base`.  Any other key, or a mix of the two instance
-forms, is a config error.  --trials, --seed and --out override the config,
-and `run --complete` tops up every mechanism, whatever its own `complete`.  All
-output CSVs are deterministic given --seed (LF line endings, 12 significant
-digits).  The ORDMATCH_THREADS environment variable caps the worker
-processes of run, probs and ufaudit (0 = one per CPU, unset = serial).
+forms, is a config error.  Each spec checks its own fields, and its error is
+reported at the field's config path; this module checks the rest.  --trials,
+--seed and --out override the config, and `run --complete` tops up every
+mechanism, whatever its own `complete`.  All output CSVs are deterministic
+given --seed (LF line endings, 12 significant digits).  ORDMATCH_THREADS,
+which only this module reads, sets the `workers=` of run, probs and ufaudit
+(0 = one per CPU, unset = serial).
 
 Exit codes: 0 success, 2 usage or config error, 3 assertion or oracle failure.
 """
@@ -21,17 +23,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import re
 import sys
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import analytics, estimator
-from .core import Instance, RandomStream
+from .core import Instance, RandomStream, check_int
 from .distributions import DistributionSpec, sample_profile
 from .mechanisms import MechanismSpec, q_exact_per_agent
-from .opt import brute_force_opt, optimal_value
+from .opt import BRUTE_FORCE_MAX_ITEMS, brute_force_opt, optimal_value
 
 OPTCHECK_TOL = 1e-9
 
@@ -70,28 +75,21 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _as_int(value, where: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
     return value
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+def _owned(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), the ValueError of the spec that checks its own
+    fields raised as a ConfigError at the config path `where`: a message that
+    names a field ("p: ...", "base[1]: ...") hangs below it, any other beside it."""
     try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ConfigError(f"{where}: number out of range") from None
-
-
-def _as_bool(value, where: str) -> bool:
-    # bool("false") is True, so anything but a JSON boolean is rejected
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
+        return build(*args, **kwargs)
+    except ValueError as e:
+        sep = "." if re.match(r"\w+(\[\d+\])?: ", str(e)) else ": "
+        raise ConfigError(f"{where}{sep}{e}") from None
 
 
 def _geometric_quotas(n: int, m: int, ratio: float) -> tuple[int, ...]:
@@ -129,16 +127,10 @@ def _parse_instance(cfg, where: str) -> Instance:
         mixed = sorted(cfg.keys() - {"quotas"})
         if mixed:
             raise ConfigError(f"{where}.{mixed[0]}: not allowed beside 'quotas'")
-        quotas = cfg["quotas"]
-        if not isinstance(quotas, list) or not quotas:
-            raise ConfigError(f"{where}.quotas: expected a nonempty list")
-        out = []
-        for k, b in enumerate(quotas):
-            out.append(_as_int(b, f"{where}.quotas[{k}]", minimum=1))
-        return Instance(tuple(out))
+        return _owned(where, Instance, tuple(_list(cfg["quotas"], f"{where}.quotas")))
     gen = _require(cfg, "generator", where)
-    n = _as_int(_require(cfg, "n", where), f"{where}.n", minimum=1)
-    m = _as_int(_require(cfg, "m", where), f"{where}.m", minimum=1)
+    n = _owned(where, check_int, _require(cfg, "n", where), "n", 1)
+    m = _owned(where, check_int, _require(cfg, "m", where), "m", 1)
     if m < n:
         raise ConfigError(f"{where}: m must be at least n")
     if gen == "uniform-quotas":
@@ -159,46 +151,20 @@ def _parse_instance(cfg, where: str) -> Instance:
     raise ConfigError(f"{where}.generator: unknown generator {gen!r}")
 
 
-def _as_number_list(value, where: str) -> list[float]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list")
-    return [_as_number(x, f"{where}[{k}]") for k, x in enumerate(value)]
-
-
-# the JSON type of each DistributionSpec field (the spec decides which kind takes which)
-_FIELD_TYPES = {
-    "p": _as_number,
-    "hi": _as_number,
-    "lo": _as_number,
-    "agent": lambda value, where: _as_int(value, where, minimum=0),
-    "with_replacement": _as_bool,
-    "base": _as_number_list,
-}
-
-
 def _parse_distribution(cfg, where: str) -> DistributionSpec:
-    _check_keys(cfg, where, ("name", *_FIELD_TYPES))
-    name = _require(cfg, "name", where)
-    fields = {key: parse(cfg[key], f"{where}.{key}") for key, parse in _FIELD_TYPES.items() if key in cfg}
-    try:
-        return DistributionSpec(name, **fields)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
+    _check_keys(cfg, where, [f.name for f in fields(DistributionSpec)][1:] + ["name"])
+    null = next((key for key, value in cfg.items() if value is None), None)
+    if null is not None:  # the spec reads None as a field not given
+        raise ConfigError(f"{where}.{null}: expected a value, got null")
+    given = {k: v for k, v in cfg.items() if k != "name"}
+    return _owned(where, DistributionSpec, _require(cfg, "name", where), **given)
 
 
 def _parse_mechanism(cfg, where: str, force: bool) -> MechanismSpec:
     _check_keys(cfg, where, ("name", "complete", "order"))
-    name = _require(cfg, "name", where)
-    complete = _as_bool(cfg.get("complete", False), f"{where}.complete") or force
-    order = cfg.get("order")
-    if order is not None:
-        if not isinstance(order, list):
-            raise ConfigError(f"{where}.order: expected a list")
-        order = [_as_int(i, f"{where}.order[{k}]") for k, i in enumerate(order)]
-    try:
-        return MechanismSpec(name, complete=complete, order=order)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
+    order = None if cfg.get("order") is None else _list(cfg["order"], f"{where}.order")
+    spec = _owned(where, MechanismSpec, _require(cfg, "name", where), complete=cfg.get("complete", False), order=order)
+    return replace(spec, complete=True) if force else spec
 
 
 def _parse_many(cfg: dict, singular: str, plural: str, parse) -> list:
@@ -237,12 +203,12 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
     else:
         mechs = []
 
-    trials = _as_int(cfg.get("trials", 10000), "trials", minimum=1)
+    trials = check_int(cfg.get("trials", 10000), "trials", 1)
     if getattr(args, "trials", None) is not None:
-        trials = _as_int(args.trials, "--trials", minimum=1)
-    seed = _as_int(cfg.get("seed", 0), "seed", minimum=0)
+        trials = check_int(args.trials, "--trials", 1)
+    seed = check_int(cfg.get("seed", 0), "seed", 0)
     if getattr(args, "seed", None) is not None:
-        seed = _as_int(args.seed, "--seed", minimum=0)
+        seed = check_int(args.seed, "--seed", 0)
     output = cfg.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output: expected a string, got {output!r}")
@@ -261,7 +227,20 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
         "trials": trials,
         "seed": seed,
         "output": output,
+        "workers": _workers(),
     }
+
+
+def _workers() -> int:
+    """Worker processes from ORDMATCH_THREADS: unset is 1, 0 one per CPU."""
+    env = os.environ.get("ORDMATCH_THREADS", "1")
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"ORDMATCH_THREADS must be an integer, got {env!r}") from None
+    if workers < 0:
+        raise ValueError("ORDMATCH_THREADS must be >= 0")
+    return workers or os.cpu_count() or 1
 
 
 # --- commands --------------------------------------------------------------------
@@ -284,9 +263,9 @@ def _write_csv(path: str, rows: list[dict], footer: str = "") -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args)
     # every mechanism of an (instance, distribution) pair runs on the same trials
-    mechs, trials, seed = cfg["mechanisms"], cfg["trials"], cfg["seed"]
+    mechs, trials, seed, workers = cfg["mechanisms"], cfg["trials"], cfg["seed"], cfg["workers"]
     reports = {
-        (inst, dist): dict(zip(mechs, estimator.estimate_distortions(mechs, dist, inst, trials, seed)))
+        (inst, dist): dict(zip(mechs, estimator.estimate_distortions(mechs, dist, inst, trials, seed, workers=workers)))
         for inst, dist in product(cfg["instances"], cfg["distributions"])
     }
     rows = []
@@ -320,7 +299,7 @@ def cmd_probs(args) -> int:
     if cells != 1:
         raise ConfigError("probs needs exactly one (instance, mechanism, distribution) cell")
     inst, mech, dist = cfg["instances"][0], cfg["mechanisms"][0], cfg["distributions"][0]
-    rep = estimator.estimate_assignment_probs(mech, dist, inst, cfg["trials"], cfg["seed"])
+    rep = estimator.estimate_assignment_probs(mech, dist, inst, cfg["trials"], cfg["seed"], workers=cfg["workers"])
     q_exact = q_exact_per_agent(mech, inst)
     rows = [
         {
@@ -352,8 +331,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_optcheck(args) -> int:
-    if args.max_m > 8:
-        raise ValueError("--max-m is capped at 8 (enumeration bound)")
+    if args.max_m > BRUTE_FORCE_MAX_ITEMS:
+        raise ValueError(f"--max-m is capped at {BRUTE_FORCE_MAX_ITEMS} (enumeration bound)")
     if args.max_m < 1:
         raise ValueError("--max-m must be positive")
     if args.cases < 0:
@@ -383,7 +362,7 @@ def cmd_ufaudit(args) -> int:
     if len(cfg["instances"]) != 1 or len(cfg["distributions"]) != 1:
         raise ConfigError("ufaudit needs exactly one instance and one distribution")
     inst, dist = cfg["instances"][0], cfg["distributions"][0]
-    report = estimator.uf_audit(dist, inst, cfg["trials"], cfg["seed"])
+    report = estimator.uf_audit(dist, inst, cfg["trials"], cfg["seed"], workers=cfg["workers"])
     rows = [
         {
             "agent": audit.agent,
@@ -433,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=cmd_curve)
 
     p_opt = sub.add_parser("optcheck", help="cross-check the engine's OPT against enumeration")
-    p_opt.add_argument("--max-m", type=int, default=7, help="largest item count (at most 8)")
+    p_opt.add_argument("--max-m", type=int, default=7, help=f"largest item count (at most {BRUTE_FORCE_MAX_ITEMS})")
     p_opt.add_argument("--cases", type=int, default=200, help="number of random cases")
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.set_defaults(func=cmd_optcheck)

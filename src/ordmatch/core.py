@@ -17,6 +17,22 @@ import numpy as np
 UNASSIGNED = -1
 
 
+def check_int(value, field: str, minimum: int) -> int:
+    """An integer (numpy's too, not a bool) of at least `minimum` as an int, else ValueError("<field>: ...")."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{field}: must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_bool(value, field: str) -> bool:
+    """A bool (numpy's too) as a bool, else ValueError("<field>: ..."); bool("false") is True, so none is cast."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{field}: expected true or false, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Reproducible random source: identical (seed, stream_id) pairs yield
@@ -28,7 +44,7 @@ class RandomStream:
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer")
             if not 0 <= int(v) < 2**64:
                 raise ValueError(f"{name} must fit in 64 unsigned bits")
@@ -45,11 +61,9 @@ class Instance:
     quotas: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        q = tuple(int(b) for b in self.quotas)
+        q = tuple(check_int(b, f"quotas[{k}]", 1) for k, b in enumerate(self.quotas))
         if not q:
             raise ValueError("an instance needs at least one agent")
-        if any(b < 1 for b in q):
-            raise ValueError("every quota must be at least 1")
         object.__setattr__(self, "quotas", q)
 
     @cached_property
@@ -72,7 +86,7 @@ class Instance:
 
     @classmethod
     def one_to_one(cls, n: int) -> "Instance":
-        return cls((1,) * n)
+        return cls((1,) * check_int(n, "n", 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +254,9 @@ def fsum_rows(x: np.ndarray) -> np.ndarray:
     rounded by the cast, since every float is a multiple of 2**-1074, so a sum
     below 2**-1022 has at most 52 significant bits.  Rows off that grid, and
     blocks that are not finite or large enough to overflow (e < -960), get
-    math.fsum, which also raises its OverflowError.  Neither path returns
-    -0.0.  Uniforms (multiples of 2**-53) and 0/1 values take the int64 path.
+    math.fsum; where its running sum overflows, fsum_rows raises ValueError.
+    Neither path returns -0.0.  Uniforms (multiples of 2**-53) and 0/1 values
+    take the int64 path.
     """
     x = np.asarray(x, dtype=np.float64)
     k = x.shape[-1]
@@ -258,8 +273,11 @@ def fsum_rows(x: np.ndarray) -> np.ndarray:
                 on_grid &= (scaled != 0.0) | (rows == 0.0)
             exact = on_grid.all(axis=-1)
             out = np.ldexp(scaled.astype(np.int64).sum(axis=-1).astype(np.float64), -e)
-        for r in np.flatnonzero(~exact).tolist():
-            out[r] = math.fsum(rows[r].tolist())
+        try:
+            for r in np.flatnonzero(~exact).tolist():
+                out[r] = math.fsum(rows[r].tolist())
+        except OverflowError:
+            raise ValueError("values too large: a welfare sum leaves float64") from None
     return out.reshape(x.shape[:-1])
 
 

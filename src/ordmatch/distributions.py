@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Instance, ValuationProfile
+from .core import Instance, ValuationProfile, check_bool, check_int
 
 # The spec fields each kind takes, with the default of an optional field
 # (None marks a required one).  A field outside its kind's entry must stay None.
@@ -37,6 +37,36 @@ _FIELDS: dict[str, dict[str, object]] = {
 }
 
 KINDS = tuple(_FIELDS)
+
+
+def _number(value, field: str, top: float = math.inf) -> float:
+    """A finite number (not a bool) in [0, top] as a float, else ValueError("<field>: ...")."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{field}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{field}: number out of range") from None
+    if not (0.0 <= x <= top and math.isfinite(x)):
+        raise ValueError(f"{field}: must be finite and lie in [0, {top:g}], got {x!r}")
+    return x
+
+
+def _base(value, field: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple, np.ndarray)) or not len(value):
+        raise ValueError(f"{field}: expected a nonempty list, got {value!r}")
+    return tuple(_number(x, f"{field}[{k}]") for k, x in enumerate(value))
+
+
+# Each field's check: the value as the spec stores it, or ValueError("<field>: ...").
+_CHECKS = {
+    "p": lambda value, field: _number(value, field, top=1.0),
+    "agent": lambda value, field: check_int(value, field, 0),
+    "base": _base,
+    "hi": _number,
+    "lo": _number,
+    "with_replacement": check_bool,
+}
 
 
 @dataclass(frozen=True)
@@ -54,6 +84,9 @@ class DistributionSpec:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         takes = _FIELDS[self.kind]
         for f in fields(self)[1:]:
+            if getattr(self, f.name) is not None:
+                object.__setattr__(self, f.name, _CHECKS[f.name](getattr(self, f.name), f.name))
+        for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if f.name not in takes:
                 if value is not None:
@@ -62,17 +95,8 @@ class DistributionSpec:
                 if takes[f.name] is None:
                     raise ValueError(f"{self.kind} needs {f.name}")
                 object.__setattr__(self, f.name, takes[f.name])
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be a probability in [0, 1]")
-        if self.agent is not None and self.agent < 0:
-            raise ValueError("agent must be a nonnegative index")
-        if self.base is not None:
-            b = tuple(float(x) for x in self.base)
-            if not b or any(not math.isfinite(x) or x < 0 for x in b):
-                raise ValueError("base must be a nonempty vector of finite nonnegative values")
-            object.__setattr__(self, "base", b)
-        if self.hi is not None and not (math.isfinite(self.hi) and self.hi > self.lo >= 0.0):
-            raise ValueError("favorite-bundle-uniform requires finite hi > lo >= 0")
+        if self.hi is not None and not self.hi > self.lo:
+            raise ValueError(f"favorite-bundle-uniform needs hi > lo, got hi={self.hi!r}, lo={self.lo!r}")
 
     # -- constructors -------------------------------------------------------
 
@@ -82,7 +106,7 @@ class DistributionSpec:
 
     @classmethod
     def iid_bernoulli(cls, p: float) -> "DistributionSpec":
-        return cls("iid-bernoulli", p=float(p))
+        return cls("iid-bernoulli", p=p)
 
     @classmethod
     def lower_bound_bernoulli(cls) -> "DistributionSpec":
@@ -91,15 +115,15 @@ class DistributionSpec:
 
     @classmethod
     def single_agent_adversarial(cls, agent: int, with_replacement: bool = True) -> "DistributionSpec":
-        return cls("single-agent-adversarial", agent=int(agent), with_replacement=with_replacement)
+        return cls("single-agent-adversarial", agent=agent, with_replacement=with_replacement)
 
     @classmethod
     def exchangeable_permutation(cls, base) -> "DistributionSpec":
-        return cls("exchangeable-permutation", base=tuple(float(x) for x in base))
+        return cls("exchangeable-permutation", base=base)
 
     @classmethod
     def favorite_bundle_uniform(cls, hi: float, lo: float) -> "DistributionSpec":
-        return cls("favorite-bundle-uniform", hi=float(hi), lo=float(lo))
+        return cls("favorite-bundle-uniform", hi=hi, lo=lo)
 
     def label(self) -> str:
         """Stable human-readable tag used in CSV output."""

@@ -39,7 +39,6 @@ together.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
@@ -51,6 +50,7 @@ from . import analytics, distributions, mechanisms, opt
 from .core import (
     Instance,
     RandomStream,
+    check_int,
     complete_assignment,
     derive_preferences,
     favorite_pairs,
@@ -178,23 +178,6 @@ class UFAuditReport:
 # --- engine -------------------------------------------------------------------
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        return workers
-    env = os.environ.get("ORDMATCH_THREADS")
-    if env is None:
-        return 1
-    try:
-        w = int(env)
-    except ValueError:
-        raise ValueError(f"ORDMATCH_THREADS must be an integer, got {env!r}") from None
-    if w < 0:
-        raise ValueError("ORDMATCH_THREADS must be >= 0")
-    return w if w > 0 else (os.cpu_count() or 1)
-
-
 def _trial_bytes(inst: Instance) -> int:
     """Upper bound, over every distribution kind and mechanism, on the bytes
     one trial holds at the peak of a chunk, from the instance alone; counted
@@ -288,7 +271,7 @@ def _chunk_arrays(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.
     start = d_sample + d_tags
     assignments = [
         mechanisms.assign_from_uniforms(
-            mech, inst, p, fav, block[:, start : start + mechanisms.mechanism_draw_count(mech, inst)]
+            mech, p, fav, block[:, start : start + mechanisms.mechanism_draw_count(mech, inst)]
         )
         for mech, p in zip(mechs, params)
     ]
@@ -358,10 +341,8 @@ def _validated(
     mechs: tuple[MechanismSpec, ...], dist: DistributionSpec, inst: Instance, trials: int, seed: int
 ) -> tuple:
     """The parameters of each mechanism, after checking the call."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
+    check_int(trials, "trials", 1)
+    RandomStream(seed)  # the seed's own check
     distributions.validate_for_instance(dist, inst)
     return tuple(mechanisms.mechanism_params(mech, inst) for mech in mechs)
 
@@ -378,6 +359,7 @@ def _map_chunks(
     """`fn` over every chunk of the call's plan, results in chunk order; an
     oversized trial is refused first.  Serially the chunks run as one group;
     with more workers, they are cut into one contiguous group per worker."""
+    check_int(workers, "workers", 1)
     batch = _batch_size(inst)
     task = (mechs, dist, inst, _validated(mechs, dist, inst, trials, seed), seed)
     ranges = _plan(trials, batch)
@@ -443,9 +425,9 @@ def _covariance(x: np.ndarray, y: np.ndarray, mx: float, my: float) -> float:
     return float(fsum_rows((x - mx) * (y - my))) / (len(x) - 1)
 
 
-def wilson_half_width(successes: int, trials: int, z: float = WILSON_Z) -> float:
+def wilson_half_width(successes: int, trials: int) -> float:
     p = successes / trials
-    z2 = z * z
+    z, z2 = WILSON_Z, WILSON_Z * WILSON_Z
     return (z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))) / (1.0 + z2 / trials)
 
 
@@ -496,7 +478,7 @@ def estimate_distortion(
     trials: int,
     seed: int,
     *,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> EstimateReport:
     """Ratio-of-means distortion estimate with delta-method standard error.
 
@@ -514,7 +496,7 @@ def estimate_distortions(
     trials: int,
     seed: int,
     *,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[EstimateReport]:
     """One `estimate_distortion` report per mechanism of `mechs`, each bitwise
     equal to that mechanism's own call, from one pass over the trials: every
@@ -524,10 +506,10 @@ def estimate_distortions(
     if not mechs:
         raise ValueError("need at least one mechanism")
     try:
-        sw, opt_vals = _collect_distortion(mechs, dist, inst, trials, seed, _resolve_workers(workers))
+        sw, opt_vals = _collect_distortion(mechs, dist, inst, trials, seed, workers)
         stats = _opt_stats(opt_vals)
         return [_build_estimate(row, opt_vals, stats, trials, seed) for row in sw]
-    except OverflowError:  # math.fsum and float powers raise it past the float64 range
+    except OverflowError:  # the statistics' float powers raise it past the float64 range
         raise ValueError("values too large: a welfare sum, or a power of one, leaves float64") from None
 
 
@@ -538,13 +520,13 @@ def estimate_assignment_probs(
     trials: int,
     seed: int,
     *,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ProbMatrixReport:
     """Empirical per-(agent, rank) assignment frequencies with Wilson
     half-widths at z = 3.  The quota-filling post-pass is always disabled so
     filler items cannot pollute the frequencies."""
     mech = replace(mech, complete=False)
-    hits, count_sq = _collect_probs(mech, dist, inst, trials, seed, _resolve_workers(workers))
+    hits, count_sq = _collect_probs(mech, dist, inst, trials, seed, workers)
     q_hat = tuple(h / trials for h in hits)
     half = tuple(
         np.array([wilson_half_width(int(k), trials) for k in h]) for h in hits
@@ -559,13 +541,11 @@ def estimate_assignment_probs(
     )
 
 
-def run_lb_theorem1(n: int, trials: int, seed: int, *, workers: int | None = None) -> OneToOneReplayReport:
+def run_lb_theorem1(n: int, trials: int, seed: int, *, workers: int = 1) -> OneToOneReplayReport:
     """Replay the one-to-one 0/1 ensemble (success probability 1/n^2): the
     expected optimum must stay above 1 - 2/n while the survivor lottery's
     welfare stays below 1 - 1/e + 2/n, all within three standard errors."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    inst = Instance.one_to_one(n)
+    inst = Instance.one_to_one(n)  # checks n
     rep = estimate_distortion(
         MechanismSpec.rs(),
         DistributionSpec.lower_bound_bernoulli(),
@@ -597,7 +577,7 @@ def run_lb_theorem1(n: int, trials: int, seed: int, *, workers: int | None = Non
     )
 
 
-def run_lb_secretary(m: int, trials: int, seed: int, *, workers: int | None = None) -> SecretaryGapReport:
+def run_lb_secretary(m: int, trials: int, seed: int, *, workers: int = 1) -> SecretaryGapReport:
     """Measure the secretary variant on quotas (m-1, 1) under the two
     one-agent adversarial profiles: the large agent's favorite-item yield and
     the small agent's top-item probability.  At least one of the two must sit
@@ -606,8 +586,7 @@ def run_lb_secretary(m: int, trials: int, seed: int, *, workers: int | None = No
     The second sub-experiment runs on seed+1 so the two measurements do not
     share trial streams.
     """
-    if m < 3:
-        raise ValueError("need m >= 3")
+    check_int(m, "m", 3)
     inst = Instance((m - 1, 1))
     mech = MechanismSpec.secretary_rs()
     rep_big = estimate_assignment_probs(
@@ -646,15 +625,15 @@ def run_lb_secretary(m: int, trials: int, seed: int, *, workers: int | None = No
     )
 
 
-def uf_audit(dist: DistributionSpec, inst: Instance, trials: int, seed: int) -> UFAuditReport:
+def uf_audit(dist: DistributionSpec, inst: Instance, trials: int, seed: int, *, workers: int = 1) -> UFAuditReport:
     """Tabulate observed favorite-bundle frequencies against the uniform
     distribution over b_i-subsets and report a chi-square statistic per agent.
 
     Favorite sets are taken after uniform tie resolution, exactly as the
     mechanisms see them: audit trial t draws the profile and tie tags of
     estimator trial t from RandomStream(seed, t), so the counts do not depend
-    on chunking or on the ORDMATCH_THREADS worker count.  Restricted to
-    m <= 12 so the subset tables stay enumerable.
+    on chunking or on the number of worker processes, `workers`.  Restricted
+    to m <= 12 so the subset tables stay enumerable.
     """
     if inst.m > UF_AUDIT_MAX_ITEMS:
         raise ValueError(f"audit supports at most {UF_AUDIT_MAX_ITEMS} items, got {inst.m}")
@@ -667,7 +646,7 @@ def uf_audit(dist: DistributionSpec, inst: Instance, trials: int, seed: int) -> 
     for i, subs in enumerate(subsets):
         masks = [sum(1 << g for g in s) for s in subs]
         cells[i, masks] = np.arange(ends[i] - len(subs), ends[i])
-    parts = _map_chunks(partial(_audit_chunk, cells), (), dist, inst, trials, seed, _resolve_workers(None))
+    parts = _map_chunks(partial(_audit_chunk, cells), (), dist, inst, trials, seed, workers)
     counts = np.split(sum(parts), ends[:-1])
 
     audits = []

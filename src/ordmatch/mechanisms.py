@@ -41,6 +41,8 @@ from .core import (
     Instance,
     Matching,
     PreferenceProfile,
+    check_bool,
+    check_int,
     complete_matching,
     favorite_pairs,
 )
@@ -57,8 +59,9 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
+        object.__setattr__(self, "complete", check_bool(self.complete, "complete"))
         if self.order is not None:
-            object.__setattr__(self, "order", tuple(int(i) for i in self.order))
+            object.__setattr__(self, "order", tuple(check_int(i, f"order[{k}]", 0) for k, i in enumerate(self.order)))
             if not _MECHANISMS[self.kind].takes_order:
                 raise ValueError(f"{self.kind} does not take an agent order")
 
@@ -80,7 +83,7 @@ class MechanismSpec:
 
     @classmethod
     def serial_dictator(cls, order: Sequence[int] | None = None, complete: bool = False) -> "MechanismSpec":
-        return cls("serial-dictator", complete=complete, order=tuple(order) if order is not None else None)
+        return cls("serial-dictator", complete=complete, order=order)
 
     def label(self) -> str:
         if self.order is not None:
@@ -308,18 +311,12 @@ def mechanism_params(spec: MechanismSpec, inst: Instance) -> tuple:
     return _MECHANISMS[spec.kind].params(spec, inst)
 
 
-def assign_from_uniforms(
-    spec: MechanismSpec,
-    inst: Instance,
-    params: tuple,
-    fav: tuple,
-    u: np.ndarray,
-) -> np.ndarray:
+def assign_from_uniforms(spec: MechanismSpec, params: tuple, fav: tuple, u: np.ndarray) -> np.ndarray:
     """Run a mechanism from a pre-drawn uniform block (layout above).
 
-    `params` must come from mechanism_params(spec, inst); `u` has shape
-    (..., mechanism_draw_count) and `fav` is core.favorite_pairs of rankings
-    with the same leading shape.
+    `params` must come from mechanism_params(spec, inst), `fav` is
+    core.favorite_pairs of that instance's rankings, and `u` has shape
+    (..., mechanism_draw_count) with the same leading shape.
     """
     return _MECHANISMS[spec.kind].assign(*params, fav, u)
 
@@ -340,7 +337,7 @@ def run_mechanism(
     params = mechanism_params(spec, inst)
     u = gen.random(mechanism_draw_count(spec, inst))
     fav = favorite_pairs(prefs.rankings[None], inst.quotas)
-    assignment = assign_from_uniforms(spec, inst, params, fav, u[None])
+    assignment = assign_from_uniforms(spec, params, fav, u[None])
     matching = Matching(assignment[0])
     if spec.complete:
         matching = complete_matching(matching, inst)

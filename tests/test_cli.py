@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ordmatch import DistributionSpec, GapReport, Instance, MechanismSpec, analytics, estimate_distortion
-from ordmatch import cli
+from ordmatch import cli, estimator
 from ordmatch.cli import main
 
 
@@ -294,6 +294,11 @@ class TestRun:
                 "distribution",
                 id="p-missing",
             ),
+            pytest.param(
+                {"distribution": {"name": "single-agent-adversarial", "agent": 0, "with_replacement": None}},
+                "distribution.with_replacement",
+                id="with-replacement-null",
+            ),
         ],
     )
     def test_field_precise_error(self, tmp_path, capsys, monkeypatch, override, field):
@@ -407,6 +412,26 @@ class TestRun:
         assert main(["run", cfg]) == 2
         assert "error: ORDMATCH_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+        monkeypatch.setenv("ORDMATCH_THREADS", "-1")
+        assert main(["run", cfg]) == 2
+        assert "error: ORDMATCH_THREADS must be >= 0" in capsys.readouterr().err
+
+    def test_thread_count_reaches_the_engine_and_keeps_bytes(self, tmp_path, monkeypatch):
+        # 10,000 trials of this cell make 8 chunks, cut into one group per worker
+        cfg = write_config(tmp_path / "c.json", {**BASE_RUN, "trials": 10_000, "output": str(tmp_path / "a.csv")})
+        assert main(["run", cfg]) == 0
+        workers = []
+        estimate = estimator.estimate_distortions
+
+        def recording(*args, **kwargs):
+            workers.append(kwargs["workers"])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "estimate_distortions", recording)
+        monkeypatch.setenv("ORDMATCH_THREADS", "2")
+        assert main(["run", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        assert workers == [2]
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestProbs:

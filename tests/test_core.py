@@ -19,6 +19,7 @@ from ordmatch import (
 )
 from ordmatch.core import fsum_rows, top_items, welfare
 from ordmatch.distributions import DistributionSpec, sample_profile
+from ordmatch.mechanisms import MechanismSpec
 from ordmatch.opt import optimal_matching
 
 from conftest import random_instance
@@ -66,6 +67,51 @@ class TestInstance:
             Instance(())
         with pytest.raises(ValueError):
             Instance((2, 0))
+
+
+# Each spec checks its own fields and casts none: a float, bool or string
+# where an integer, a bool or a number belongs is a ValueError naming it.
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda: Instance((2.7, 1)), r"quotas\[0\]", id="quota-float"),
+        pytest.param(lambda: Instance((1, True)), r"quotas\[1\]", id="quota-bool"),
+        pytest.param(lambda: Instance(("2", 1)), r"quotas\[0\]", id="quota-string"),
+        pytest.param(lambda: Instance.one_to_one(True), "n", id="one-to-one-bool"),
+        pytest.param(lambda: MechanismSpec("rs", complete="false"), "complete", id="complete-string"),
+        pytest.param(lambda: MechanismSpec.hql(complete=1), "complete", id="complete-int"),
+        pytest.param(lambda: MechanismSpec.serial_dictator([1, 0.0]), r"order\[1\]", id="order-float"),
+        pytest.param(lambda: MechanismSpec("serial-dictator", order=(True, 0)), r"order\[0\]", id="order-bool"),
+        pytest.param(lambda: DistributionSpec("iid-bernoulli", p=True), "p", id="p-bool"),
+        pytest.param(lambda: DistributionSpec.iid_bernoulli("0.5"), "p", id="p-string"),
+        pytest.param(lambda: DistributionSpec.iid_bernoulli(10**400), "p", id="p-huge-int"),
+        pytest.param(lambda: DistributionSpec.single_agent_adversarial(1.5), "agent", id="agent-float"),
+        pytest.param(
+            lambda: DistributionSpec("single-agent-adversarial", agent=0, with_replacement="false"),
+            "with_replacement",
+            id="with-replacement-string",
+        ),
+        pytest.param(
+            lambda: DistributionSpec.single_agent_adversarial(0, with_replacement=0),
+            "with_replacement",
+            id="with-replacement-int",
+        ),
+        pytest.param(lambda: DistributionSpec.exchangeable_permutation([1.0, "0"]), r"base\[1\]", id="base-string"),
+        pytest.param(lambda: DistributionSpec.favorite_bundle_uniform("1", 0.0), "hi", id="hi-string"),
+        pytest.param(lambda: DistributionSpec("favorite-bundle-uniform", hi=1.0, lo=False), "lo", id="lo-bool"),
+    ],
+)
+def test_specs_refuse_coercion(build, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        build()
+
+
+def test_specs_take_numpy_scalars():
+    assert Instance((np.int64(2), 1)).quotas == (2, 1)
+    assert MechanismSpec.serial_dictator(np.array([1, 0])).order == (1, 0)
+    assert MechanismSpec.rs(complete=np.bool_(True)).complete is True
+    assert DistributionSpec.iid_bernoulli(np.float32(0.5)).p == 0.5
+    assert DistributionSpec.exchangeable_permutation(np.linspace(0.0, 1.0, 3)).base == (0.0, 0.5, 1.0)
 
 
 class TestValuationProfile:
@@ -228,12 +274,12 @@ def fsum_each(block: np.ndarray) -> np.ndarray:
 
 
 def assert_fsum_rows_matches(block: np.ndarray) -> None:
-    """fsum_rows equals math.fsum row by row, bit for bit, and raises the
-    same OverflowError when fsum does."""
+    """fsum_rows equals math.fsum row by row, bit for bit, and raises
+    ValueError where fsum overflows."""
     try:
         expected = fsum_each(block)
     except OverflowError:
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="^values too large: a welfare sum leaves float64$"):
             fsum_rows(block)
         return
     got = fsum_rows(block)

@@ -90,9 +90,13 @@ class TestDistortionEstimates:
         assert abs(rep.distortion_estimate - 21 / 20) <= 3 * rep.stderr_ratio
 
     def test_non_integer_thread_count_named(self, monkeypatch):
+        # the thread count is the `workers` argument, named when it is not an
+        # integer; ORDMATCH_THREADS is read by the CLI alone
+        with pytest.raises(ValueError, match="^workers: expected an integer, got 'abc'$"):
+            estimate_distortion(MechanismSpec.rs(), UNIFORM, Instance((1, 1)), 10, 1, workers="abc")
         monkeypatch.setenv("ORDMATCH_THREADS", "abc")
-        with pytest.raises(ValueError, match="^ORDMATCH_THREADS must be an integer, got 'abc'$"):
-            estimate_distortion(MechanismSpec.rs(), UNIFORM, Instance((1, 1)), 10, 1)
+        rep = estimate_distortion(MechanismSpec.rs(), UNIFORM, Instance((1, 1)), 10, 1)
+        assert rep == estimate_distortion(MechanismSpec.rs(), UNIFORM, Instance((1, 1)), 10, 1, workers=1)
 
     def test_rejects_bad_arguments(self):
         inst = Instance((1, 1))
@@ -118,6 +122,40 @@ class TestDistortionEstimates:
     def test_overflowing_welfare_is_a_value_error(self, inst, dist, trials):
         with pytest.raises(ValueError, match="^values too large: a welfare sum"):
             estimate_distortion(MechanismSpec.rs(), dist, inst, trials, 0)
+
+
+# every public engine call, as (trials, seed, workers) -> report
+ENGINE_CALLS = {
+    "estimate_distortion": lambda t, s, w: estimate_distortion(
+        MechanismSpec.rs(), UNIFORM, Instance((1, 1)), t, s, workers=w
+    ),
+    "estimate_distortions": lambda t, s, w: estimate_distortions(
+        [MechanismSpec.rs()], UNIFORM, Instance((1, 1)), t, s, workers=w
+    ),
+    "estimate_assignment_probs": lambda t, s, w: estimate_assignment_probs(
+        MechanismSpec.rs(), UNIFORM, Instance((1, 1)), t, s, workers=w
+    ),
+    "uf_audit": lambda t, s, w: uf_audit(UNIFORM, Instance((1, 1)), t, s, workers=w),
+    "run_lb_theorem1": lambda t, s, w: run_lb_theorem1(4, t, s, workers=w),
+    "run_lb_secretary": lambda t, s, w: run_lb_secretary(3, t, s, workers=w),
+}
+
+
+@pytest.mark.parametrize("call", ENGINE_CALLS)
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        pytest.param((True, 1, 1), ValueError, "^trials: expected an integer, got True$", id="trials-bool"),
+        pytest.param((2.5, 1, 1), ValueError, "^trials: expected an integer, got 2.5$", id="trials-float"),
+        pytest.param((10, 1.5, 1), TypeError, "^seed must be an integer$", id="seed-float"),
+        pytest.param((10, True, 1), TypeError, "^seed must be an integer$", id="seed-bool"),
+        pytest.param((10, 1, None), ValueError, "^workers: expected an integer, got None$", id="workers-none"),
+    ],
+)
+def test_engine_arguments_are_checked(call, args, error, message):
+    # a report states the trials and seed it ran, so neither may be cast
+    with pytest.raises(error, match=message):
+        ENGINE_CALLS[call](*args)
 
 
 class TestBatchMatchesReference:
@@ -195,7 +233,7 @@ class TestBatchMatchesReference:
                 assert np.array_equal(sw, arrays[mech.kind][0]) and np.array_equal(opt_vals, arrays[mech.kind][1])
 
     @staticmethod
-    def reports(mech, inst, trials, seed, workers=None):
+    def reports(mech, inst, trials, seed, workers=1):
         return (
             estimate_distortion(mech, UNIFORM, inst, trials, seed, workers=workers),
             estimate_assignment_probs(mech, UNIFORM, inst, trials, seed, workers=workers),
@@ -252,8 +290,8 @@ class TestUFAuditDrawContract:
             for i, b in enumerate(inst.quotas):
                 tallies[i][tuple(sorted(prefs.rankings[i, :b].tolist()))] += 1
 
-        def assert_tallied():
-            report = uf_audit(dist, inst, 3_000, 7)
+        def assert_tallied(workers=1):
+            report = uf_audit(dist, inst, 3_000, 7, workers=workers)
             for audit, tally in zip(report.per_agent, tallies, strict=True):
                 assert audit.subsets == tuple(tally)
                 assert audit.counts.tolist() == list(tally.values()), audit.agent
@@ -262,8 +300,7 @@ class TestUFAuditDrawContract:
         for batch in (1, 97):
             monkeypatch.setattr(estimator, "_batch_size", lambda inst: batch)
             assert_tallied()
-        monkeypatch.setenv("ORDMATCH_THREADS", "2")  # with 97-trial chunks, two groups of chunks
-        assert_tallied()
+        assert_tallied(workers=2)  # with 97-trial chunks, two groups of chunks
 
     def test_builds_no_favorite_pair_table(self, monkeypatch):
         # an audit runs no mechanism, so no chunk needs the pair table
@@ -473,6 +510,15 @@ class TestAdversarialReplays:
     def test_secretary_rejects_tiny_m(self):
         with pytest.raises(ValueError):
             run_lb_secretary(2, 100, 0)
+
+    @pytest.mark.parametrize(
+        "replay, size, field",
+        [(run_lb_theorem1, True, "n"), (run_lb_theorem1, 2.5, "n"), (run_lb_secretary, 3.0, "m")],
+    )
+    def test_replay_size_is_an_integer(self, replay, size, field):
+        # a bool n would replay n = 1 and pass
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {size!r}$"):
+            replay(size, 100, 0)
 
 
 class TestGapReport:

@@ -103,9 +103,9 @@ def test_lottery_mechanisms_through_the_registry(quotas, lead, extra, seed):
     for spec, reference in ((MechanismSpec.rs(), reference_rs), (MechanismSpec.rsbs(), reference_rsbs)):
         params = mechanism_params(spec, inst)
         u = rng.random((*lead, mechanism_draw_count(spec, inst)))
-        out = assign_from_uniforms(spec, inst, params, fav, u)
+        out = assign_from_uniforms(spec, params, fav, u)
         wide = np.concatenate([u, rng.random((*lead, extra))], axis=-1)
-        assert np.array_equal(assign_from_uniforms(spec, inst, params, fav, wide), out), spec.kind
+        assert np.array_equal(assign_from_uniforms(spec, params, fav, wide), out), spec.kind
         for idx in np.ndindex(lead):
             row = out[idx]
             mask = pair_mask(fav, idx, inst.n)

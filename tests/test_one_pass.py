@@ -122,7 +122,7 @@ def test_one_pass_mechanisms_read_their_layout(quotas, lead, seed):
     specs = (MechanismSpec.hql(), MechanismSpec.secretary_rs(), MechanismSpec.serial_dictator(pick_order))
     for spec in specs:
         u = rng.random((*lead, mechanism_draw_count(spec, inst)))
-        out = assign_from_uniforms(spec, inst, mechanism_params(spec, inst), fav, u)
+        out = assign_from_uniforms(spec, mechanism_params(spec, inst), fav, u)
         for idx in np.ndindex(lead):
             row = u[idx].tolist()
             if spec.kind == "hql":

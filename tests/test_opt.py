@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from ordmatch import (
     UNASSIGNED,
     Instance,
+    Matching,
     RandomStream,
     ValuationProfile,
     social_welfare,
@@ -136,6 +137,20 @@ def test_dominates_every_mechanism_output():
         for spec in specs:
             matching = run_mechanism(spec, inst, prefs, gen)
             assert social_welfare(matching, profile) <= opt_val
+
+
+def test_overflowing_welfare_is_a_value_error():
+    # every item of 1e308 to one agent: the exact sum leaves float64
+    inst = Instance((2,))
+    profile = ValuationProfile(inst, [[1e308, 1e308]])
+    calls = (
+        lambda: social_welfare(Matching([0, 0]), profile),
+        lambda: optimal_value(inst, profile.values),
+        lambda: optimal_matching(inst, profile),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^values too large: a welfare sum leaves float64$"):
+            call()
 
 
 def test_rejects_profile_from_other_instance():

@@ -2,18 +2,20 @@
 
 Subcommands: run, probs, curve, optcheck, ufaudit.  Experiment cells come
 from a JSON config file.  Its top level takes `instance` or `instances`,
-`mechanism` or `mechanisms`, `distribution` or `distributions` (one spelling
-of each section, not both), `trials`, `seed` and `output`; an instance takes
-either `quotas` alone or `n`, `m` and `generator`; a mechanism `name`,
-`complete` and `order`; a distribution `name`, `p`, `hi`, `lo`, `agent`,
-`with_replacement` and `base`.  Any other key, or a mix of the two instance
-forms, is a config error.  Each spec checks its own fields, and its error is
-reported at the field's config path; this module checks the rest.  --trials,
---seed and --out override the config, and `run --complete` tops up every
-mechanism, whatever its own `complete`.  All output CSVs are deterministic
-given --seed (LF line endings, 12 significant digits).  ORDMATCH_THREADS,
-which only this module reads, sets the `workers=` of run, probs and ufaudit
-(0 = one per CPU, unset = serial).
+`mechanism` or `mechanisms` (not for ufaudit, which runs no mechanism),
+`distribution` or `distributions` (one spelling of each section, not both),
+`trials`, `seed` and `output`; an instance takes either `quotas` alone or
+`n`, `m` and `generator`; a mechanism `name`, `complete` and `order`; a
+distribution `name`, `p`, `hi`, `lo`, `agent`, `with_replacement` and `base`.
+Any other key, or a mix of the two instance forms, is a config error.  Each
+spec checks its own fields, and its error is reported at the field's config
+path; this module checks the rest.  The estimator refuses a `complete`
+mechanism for probs.  --trials, --seed and --out override the config, and
+`run --complete` tops up every mechanism, whatever its own `complete`; a
+`run` row names the full spec (`rs(complete)`).  All output CSVs are
+deterministic given --seed (LF line endings, 12 significant digits).
+ORDMATCH_THREADS, which only this module reads, sets the `workers=` of run,
+probs and ufaudit (0 = one per CPU, unset = serial).
 
 Exit codes: 0 success, 2 usage or config error, 3 assertion or oracle failure.
 """
@@ -192,16 +194,17 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON at byte {e.pos}: {e.msg}") from None
-    sections = ("instance", "instances", "mechanism", "mechanisms", "distribution", "distributions")
+    sections = ("instance", "instances", "distribution", "distributions")
+    if need_mechanism:
+        sections += ("mechanism", "mechanisms")
     _check_keys(cfg, "", (*sections, "trials", "seed", "output"))
     force = getattr(args, "complete", False)  # run --complete
 
     instances = _parse_many(cfg, "instance", "instances", _parse_instance)
     dists = _parse_many(cfg, "distribution", "distributions", _parse_distribution)
-    if need_mechanism or "mechanism" in cfg or "mechanisms" in cfg:
+    mechs = []
+    if need_mechanism:
         mechs = _parse_many(cfg, "mechanism", "mechanisms", lambda c, w: _parse_mechanism(c, w, force))
-    else:
-        mechs = []
 
     trials = check_int(cfg.get("trials", 10000), "trials", 1)
     if getattr(args, "trials", None) is not None:

@@ -31,16 +31,15 @@ worker process), so chunks do not refault fresh pages; nothing outlives the
 call.  A chunk maps its values inside the block's sample region and ranks,
 solves and scores them there, so it builds no other (batch, n, m) copy and
 the block is the largest array it holds.
-`_reference_*` helpers recompute the same trials one at a time through the
-public single-run API and are used by the test suite to pin the two paths
-together.
+`_reference_trials` recomputes the same trials one at a time through the
+public single-run API; the test suite pins the two paths together on it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, repeat
 
@@ -55,7 +54,6 @@ from .core import (
     derive_preferences,
     favorite_pairs,
     fsum_rows,
-    social_welfare,
     top_items,
     welfare,
 )
@@ -68,7 +66,6 @@ WILSON_Z = 3.0
 # instance's chunk to about 4 MiB, one L2 cache on the 2-vCPU VM it was tuned
 # on, and gives one-to-one n=50 73-trial chunks (46-trial ones ran 8% slower).
 CHUNK_BYTES = 25 * 2**18
-MAX_BATCH = 8192
 MAX_TRIAL_BYTES = 2**30
 
 UF_AUDIT_MAX_ITEMS = 12
@@ -198,16 +195,16 @@ def _trial_bytes(inst: Instance) -> int:
 
 
 def _batch_size(inst: Instance) -> int:
-    """Trials per chunk: as many as CHUNK_BYTES holds, clamped to
-    [1, MAX_BATCH].  Raises ValueError, before anything is allocated, when
-    one trial alone would exceed MAX_TRIAL_BYTES."""
+    """Trials per chunk: as many as CHUNK_BYTES holds, and at least one.
+    Raises ValueError, before anything is allocated, when one trial alone
+    would exceed MAX_TRIAL_BYTES."""
     per_trial = _trial_bytes(inst)
     if per_trial > MAX_TRIAL_BYTES:
         raise ValueError(
             f"one trial at n={inst.n}, m={inst.m} needs about {per_trial} bytes, "
             f"over the {MAX_TRIAL_BYTES}-byte limit"
         )
-    return max(1, min(MAX_BATCH, CHUNK_BYTES // per_trial))
+    return max(1, CHUNK_BYTES // per_trial)
 
 
 def _trial_layout(
@@ -523,9 +520,10 @@ def estimate_assignment_probs(
     workers: int = 1,
 ) -> ProbMatrixReport:
     """Empirical per-(agent, rank) assignment frequencies with Wilson
-    half-widths at z = 3.  The quota-filling post-pass is always disabled so
-    filler items cannot pollute the frequencies."""
-    mech = replace(mech, complete=False)
+    half-widths at z = 3.  A completing spec raises ValueError: filler items
+    would pollute the frequencies of the mechanism's own assignment."""
+    if mech.complete:
+        raise ValueError("complete: assignment probabilities are measured without the quota-filling pass")
     hits, count_sq = _collect_probs(mech, dist, inst, trials, seed, workers)
     q_hat = tuple(h / trials for h in hits)
     half = tuple(
@@ -671,29 +669,3 @@ def _reference_trials(mech: MechanismSpec, dist: DistributionSpec, inst: Instanc
         profile = distributions.sample_profile(dist, inst, gen)
         prefs = derive_preferences(profile, gen)
         yield profile, prefs, mechanisms.run_mechanism(mech, inst, prefs, gen)
-
-
-def _reference_distortion_arrays(
-    mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    sw = np.empty(trials)
-    opt_vals = np.empty(trials)
-    for t, (profile, _, matching) in enumerate(_reference_trials(mech, dist, inst, trials, seed)):
-        sw[t] = social_welfare(matching, profile)
-        opt_vals[t] = opt.optimal_value(inst, profile.values)
-    return sw, opt_vals
-
-
-def _reference_prob_counts(
-    mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-agent (rank) hit counts and per-agent sums of squared per-trial
-    favorite counts, the two outputs of _collect_probs."""
-    hits = [np.zeros(b, dtype=np.int64) for b in inst.quotas]
-    count_sq = np.zeros(inst.n, dtype=np.int64)
-    for _, prefs, matching in _reference_trials(replace(mech, complete=False), dist, inst, trials, seed):
-        for i, b in enumerate(inst.quotas):
-            got = matching.assignment[prefs.rankings[i, :b]] == i
-            hits[i] += got
-            count_sq[i] += int(got.sum()) ** 2
-    return hits, count_sq

@@ -86,9 +86,11 @@ class MechanismSpec:
         return cls("serial-dictator", complete=complete, order=order)
 
     def label(self) -> str:
-        if self.order is not None:
-            return f"{self.kind}(" + "|".join(str(i) for i in self.order) + ")"
-        return self.kind
+        """Stable tag naming every field, used in CSV output and error messages."""
+        args = [] if self.order is None else ["|".join(str(i) for i in self.order)]
+        if self.complete:
+            args.append("complete")
+        return f"{self.kind}({','.join(args)})" if args else self.kind
 
 
 def _validate_order(order: Sequence[int] | None, n: int) -> np.ndarray:

@@ -1,12 +1,18 @@
 """Fixed matrix of `ordmatch run` / `probs` / `ufaudit` CSVs and its digest.
 
-    python3 tests/csv_matrix.py SRC_DIR OUT_DIR
+    python3 tests/csv_matrix.py SRC_DIR OUT_DIR [--write-pins]
 
 Imports `ordmatch` from SRC_DIR (the `src/` directory of a checkout), writes
 64 CSVs into OUT_DIR and prints two lines, each a file count and the sha256
 of the sorted per-file sha256 hex digests, one per line: first over the 60
 `run` / `probs` files of the original matrix, then over all 64.  Two
 checkouts whose reports are byte-identical print the same digests.
+
+With --write-pins it also rewrites `tests/report_pins.json`: the sha256 of
+each CSV by file name, and the numpy and scipy versions that made them.
+`tests/test_report_digests.py` compares a fresh matrix with that file, file
+by file.  A change that moves reports on purpose rewrites the pins and
+names the files that moved in CHANGES.md.
 
 The matrix (each of the first two groups' `run` configs is followed by
 `probs` on its first (instance, mechanism, distribution) cell at the same
@@ -108,12 +114,19 @@ def extra_configs():
     yield "curve", "run-curve.csv.curve", None
 
 
-def digest(files) -> str:
-    digests = sorted(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
-    return hashlib.sha256("\n".join(digests).encode() + b"\n").hexdigest()
+PINS = Path(__file__).with_name("report_pins.json")
 
 
-def main(src: str, out: Path) -> None:
+def file_hashes(files) -> dict[str, str]:
+    """The sha256 hex digest of each file, keyed by file name."""
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
+def digest(hashes) -> str:
+    return hashlib.sha256("\n".join(sorted(hashes)).encode() + b"\n").hexdigest()
+
+
+def main(src: str, out: Path, write_pins: bool = False) -> None:
     sys.path.insert(0, src)
     from ordmatch.cli import main as ordmatch_main
 
@@ -132,11 +145,19 @@ def main(src: str, out: Path) -> None:
         if status != 0:
             raise SystemExit(f"ordmatch {' '.join(argv)} failed")
         files.append(csv_path)
-    print(60, "files", digest(files[:60]))
-    print(len(files), "files", digest(files))
+    hashes = file_hashes(files)
+    print(60, "files", digest(list(hashes.values())[:60]))
+    print(len(files), "files", digest(hashes.values()))
+    if write_pins:
+        import numpy
+        import scipy
+
+        pins = {"numpy": numpy.__version__, "scipy": scipy.__version__, "files": hashes}
+        PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    args = [a for a in sys.argv[1:] if a != "--write-pins"]
+    if len(args) != 2:
         raise SystemExit(__doc__)
-    main(sys.argv[1], Path(sys.argv[2]))
+    main(args[0], Path(args[1]), write_pins="--write-pins" in sys.argv)

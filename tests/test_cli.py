@@ -156,6 +156,30 @@ class TestRun:
         rs = MechanismSpec.rs(complete=True)
         forced = estimate_distortion(rs, DistributionSpec.iid_uniform01(), Instance((2, 1)), 200, 3)
         assert [row[header.index("mean_sw")] for row in rows] == [cli._fmt(forced.mean_sw)] * 2
+        assert [row[header.index("mechanism")] for row in rows] == ["rs(complete)"] * 2
+
+    def test_mechanism_column_names_every_field(self, tmp_path):
+        # cells that differ only in `complete` must not share a name
+        mechs = [
+            {"name": "rs"},
+            {"name": "rs", "complete": True},
+            {"name": "serial-dictator", "order": [2, 0, 1], "complete": True},
+        ]
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "instance": {"quotas": [3, 2, 1]},
+                "distribution": {"name": "iid-uniform01"},
+                "mechanisms": mechs,
+                "trials": 200,
+                "seed": 3,
+                "output": str(tmp_path / "out.csv"),
+            },
+        )
+        assert main(["run", cfg]) == 0
+        header, *rows = read_rows(tmp_path / "out.csv")
+        labels = [row[header.index("mechanism")] for row in rows]
+        assert labels == ["rs", "rs(complete)", "serial-dictator(2|0|1,complete)"]
 
     @pytest.mark.parametrize("command", ["probs", "ufaudit"])
     def test_complete_flag_is_run_only(self, tmp_path, capsys, command):
@@ -487,6 +511,20 @@ class TestProbs:
         assert main(["probs", cfg]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    def test_completing_mechanism_refused(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "p.json",
+            {
+                "instance": {"quotas": [2, 1]},
+                "distribution": {"name": "iid-uniform01"},
+                "mechanism": {"name": "rs", "complete": True},
+                "output": str(tmp_path / "probs.csv"),
+            },
+        )
+        assert main(["probs", cfg]) == 2
+        assert "error: complete: " in capsys.readouterr().err
+        assert not (tmp_path / "probs.csv").exists()
+
 
 class TestCurve:
     def test_grid_and_trailing_max(self, tmp_path):
@@ -554,6 +592,22 @@ class TestUfaudit:
         assert len(rows) == 12  # two agents x C(4,2) subsets
         p_col = header.index("p_value")
         assert all(float(r[p_col]) > 0.001 for r in rows)
+
+    @pytest.mark.parametrize("section, value", [("mechanism", {"name": "rs"}), ("mechanisms", [{"name": "rs"}])])
+    def test_mechanism_section_refused(self, tmp_path, capsys, section, value):
+        # the audit runs no mechanism, so a section it would ignore is an error
+        cfg = write_config(
+            tmp_path / "a.json",
+            {
+                "instance": {"quotas": [2, 1]},
+                "distribution": {"name": "iid-uniform01"},
+                section: value,
+                "output": str(tmp_path / "audit.csv"),
+            },
+        )
+        assert main(["ufaudit", cfg]) == 2
+        assert f"config error: {section}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "audit.csv").exists()
 
 
 class TestUsage:

@@ -15,9 +15,11 @@ from ordmatch import (
     estimate_assignment_probs,
     estimate_distortion,
     estimate_distortions,
+    optimal_value,
     run_lb_secretary,
     run_lb_theorem1,
     sample_profile,
+    social_welfare,
     uf_audit,
 )
 from ordmatch import estimator, mechanisms
@@ -158,6 +160,32 @@ def test_engine_arguments_are_checked(call, args, error, message):
         ENGINE_CALLS[call](*args)
 
 
+def _reference_distortion_arrays(
+    mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    sw = np.empty(trials)
+    opt_vals = np.empty(trials)
+    for t, (profile, _, matching) in enumerate(estimator._reference_trials(mech, dist, inst, trials, seed)):
+        sw[t] = social_welfare(matching, profile)
+        opt_vals[t] = optimal_value(inst, profile.values)
+    return sw, opt_vals
+
+
+def _reference_prob_counts(
+    mech: MechanismSpec, dist: DistributionSpec, inst: Instance, trials: int, seed: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-agent (rank) hit counts and per-agent sums of squared per-trial
+    favorite counts, the two outputs of _collect_probs."""
+    hits = [np.zeros(b, dtype=np.int64) for b in inst.quotas]
+    count_sq = np.zeros(inst.n, dtype=np.int64)
+    for _, prefs, matching in estimator._reference_trials(mech, dist, inst, trials, seed):
+        for i, b in enumerate(inst.quotas):
+            got = matching.assignment[prefs.rankings[i, :b]] == i
+            hits[i] += got
+            count_sq[i] += int(got.sum()) ** 2
+    return hits, count_sq
+
+
 class TestBatchMatchesReference:
     MECHS = [
         MechanismSpec.rs(),
@@ -180,7 +208,7 @@ class TestBatchMatchesReference:
         for mech in self.MECHS:
             for dist in self.DISTS:
                 (sw,), opt_vals = estimator._collect_distortion((mech,), dist, inst, 200, 49, 1)
-                ref = estimator._reference_distortion_arrays(mech, dist, inst, 200, 49)
+                ref = _reference_distortion_arrays(mech, dist, inst, 200, 49)
                 assert np.array_equal(sw, ref[0]), (mech.label(), dist.label())
                 assert np.array_equal(opt_vals, ref[1]), (mech.label(), dist.label())
 
@@ -190,7 +218,7 @@ class TestBatchMatchesReference:
         for mech in self.MECHS[:5]:
             for dist in self.DISTS:
                 batch, batch_sq = estimator._collect_probs(mech, dist, inst, 200, 50, 1)
-                ref, ref_sq = estimator._reference_prob_counts(mech, dist, inst, 200, 50)
+                ref, ref_sq = _reference_prob_counts(mech, dist, inst, 200, 50)
                 assert len(batch) == len(ref) == inst.n
                 for a, b in zip(batch, ref):
                     assert np.array_equal(a, b), (mech.label(), dist.label())
@@ -347,7 +375,12 @@ class TestSharedTrials:
         monkeypatch.setattr(estimator.opt, "optimal_values", lowered)
         monkeypatch.setattr(estimator, "_batch_size", lambda inst: 16)
         sd, rs = MechanismSpec.serial_dictator([2, 0, 1]), MechanismSpec.rs()
-        for mechs, label in (((sd, rs), r"serial-dictator\(2\|0\|1\)"), ((rs, sd), "rs")):
+        cases = (
+            ((sd, rs), r"serial-dictator\(2\|0\|1\)"),
+            ((rs, sd), "rs"),
+            ((MechanismSpec.rs(complete=True), sd), r"rs\(complete\)"),
+        )
+        for mechs, label in cases:
             seen[0] = 0
             message = rf"^{label} trial 37: mechanism welfare .* exceeds optimum -1\.0$"
             with pytest.raises(AssertionError, match=message):
@@ -372,7 +405,7 @@ class TestChunkBudget:
             for quotas in self.INSTANCES:
                 inst = Instance(quotas)
                 batch = estimator._batch_size(inst)
-                assert 1 <= batch <= estimator.MAX_BATCH
+                assert 1 <= batch
                 assert batch == 1 or batch * estimator._trial_bytes(inst) <= estimator.CHUNK_BYTES
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -449,12 +482,10 @@ class TestAssignmentProbReports:
         for i in range(inst.n):
             assert np.all(np.abs(rep.q_hat[i] - target) <= rep.half_width[i])
 
-    def test_complete_flag_forced_off(self):
-        inst = Instance((2, 1))
-        with_flag = estimate_assignment_probs(MechanismSpec.rs(complete=True), UNIFORM, inst, 3_000, 53)
-        without = estimate_assignment_probs(MechanismSpec.rs(), UNIFORM, inst, 3_000, 53)
-        for a, b in zip(with_flag.q_hat, without.q_hat):
-            assert np.array_equal(a, b)
+    def test_completing_spec_refused(self):
+        # filler items would pollute the frequencies, so the spec is refused, not rewritten
+        with pytest.raises(ValueError, match=r"^complete: "):
+            estimate_assignment_probs(MechanismSpec.rs(complete=True), UNIFORM, Instance((2, 1)), 3_000, 53)
 
     def test_min_rank_probability_bounds_distortion(self):
         # distortion estimate never exceeds 1 / (min q_hat - 3 sigma)

@@ -1,7 +1,10 @@
-"""The report matrix of `tests/csv_matrix.py` pinned by its two digests, so a
-change that moves any report byte fails Tier-1.  A change that alters reports
-on purpose updates the pins below and says why in CHANGES.md."""
+"""The report matrix of `tests/csv_matrix.py` pinned file by file against
+`tests/report_pins.json`, so a change that moves any report byte fails Tier-1
+and names the files it moved.  A change that alters reports on purpose
+rewrites the pins with `csv_matrix.py --write-pins` and says why in
+CHANGES.md."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +12,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-ROOT = Path(__file__).resolve().parents[1]
+import csv_matrix
 
-PINNED = [
-    "60 files 0d13f43aba08f52b95d007c27697faed254a25d8806584fc67566f924b931d4f",
-    "64 files 643c45f8cbc56cd1bc18b8b0c63ae0cb513f1dc2d67cd23553f6bda3dedf6092",
-]
-PINNED_WITH = "numpy 2.4.6, scipy 1.17.1"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_csv_matrix_digests_hold(tmp_path):
@@ -26,7 +25,12 @@ def test_csv_matrix_digests_hold(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == PINNED, (
-        f"report digests changed under numpy {np.__version__}, scipy {scipy.__version__} "
-        f"(pinned with {PINNED_WITH})"
+    pins = json.loads(csv_matrix.PINS.read_text(encoding="utf-8"))
+    want, got = pins["files"], csv_matrix.file_hashes(tmp_path.glob("*.csv"))
+    changed = sorted(name for name in want.keys() & got.keys() if want[name] != got[name])
+    missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+    assert not (changed or missing or extra), (
+        f"reports moved: changed {changed}, missing {missing}, extra {extra} "
+        f"(made under numpy {np.__version__}, scipy {scipy.__version__}; "
+        f"pinned with numpy {pins['numpy']}, scipy {pins['scipy']})"
     )

@@ -17,8 +17,8 @@ assignment for every matrix of a (batch, n, m) stack in two steps:
 The engine calls `optimal_values`, the `core.welfare` of those assignments,
 once per chunk.  `optimal_value` runs it on a batch of one and
 `optimal_matching` completes the batch-of-one assignment to exact quotas, so
-every caller runs the engine's code.  A tiny enumeration oracle, kept for
-cross-validation, shares no code with the solver.
+every caller runs the engine's code.  The enumeration oracle, the exact
+optimum rounded once, shares no code with the solver or `core.fsum_rows`.
 
 The assignment routine is scipy's compiled shortest-augmenting-path solver
 (Crouse, "On implementing 2D rectangular assignment algorithms", IEEE TAES
@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -145,29 +147,17 @@ def optimal_matching(inst: Instance, profile: ValuationProfile) -> OptResult:
 
 
 def brute_force_opt(inst: Instance, profile: ValuationProfile) -> float:
-    """Exhaustive maximum over all complete matchings; m <= 8 only."""
+    """The exact maximum welfare, rounded once; m <= 8 only.  The distinct
+    orderings of the slot vector (agent i repeated b_i times) are the
+    complete matchings, `math.fsum` rounds each one's welfare once, and
+    rounding is monotone."""
     if profile.instance != inst:
         raise ValueError("profile belongs to a different instance")
-    m = inst.m
-    if m > BRUTE_FORCE_MAX_ITEMS:
-        raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX_ITEMS} items, got {m}")
-    values = profile.values
-    residual = list(inst.quotas)
-    n = inst.n
-    best = 0.0
-
-    def recurse(item: int, acc: float) -> None:
-        nonlocal best
-        if item == m:
-            if acc > best:
-                best = acc
-            return
-        for agent in range(n):
-            if residual[agent] == 0:
-                continue
-            residual[agent] -= 1
-            recurse(item + 1, acc + values[agent, item])
-            residual[agent] += 1
-
-    recurse(0, 0.0)
-    return best
+    if inst.m > BRUTE_FORCE_MAX_ITEMS:
+        raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX_ITEMS} items, got {inst.m}")
+    rows = profile.values.tolist()
+    slots = [i for i, b in enumerate(inst.quotas) for _ in range(b)]
+    try:
+        return max(math.fsum(rows[i][g] for g, i in enumerate(owners)) for owners in set(permutations(slots)))
+    except OverflowError:  # fsum's running sum left float64
+        raise ValueError("values too large: a welfare sum leaves float64") from None

@@ -9,10 +9,12 @@ of the sorted per-file sha256 hex digests, one per line: first over the 60
 checkouts whose reports are byte-identical print the same digests.
 
 With --write-pins it also rewrites `tests/report_pins.json`: the sha256 of
-each CSV by file name, and the numpy and scipy versions that made them.
+each CSV by file name, the numpy and scipy versions that made them, and
+`report_fields()`, the bits of every field of a few report objects (CSVs
+print 12 significant digits, so a last-bit change passes every file hash).
 `tests/test_report_digests.py` compares a fresh matrix with that file, file
-by file.  A change that moves reports on purpose rewrites the pins and
-names the files that moved in CHANGES.md.
+by file and field by field.  A change that moves reports on purpose rewrites
+the pins and names the files and fields that moved in CHANGES.md.
 
 The matrix (each of the first two groups' `run` configs is followed by
 `probs` on its first (instance, mechanism, distribution) cell at the same
@@ -117,6 +119,41 @@ def extra_configs():
 PINS = Path(__file__).with_name("report_pins.json")
 
 
+def _leaves(value, index=""):
+    """(index, Python scalar) pairs of a report field: a scalar, or a tuple
+    of scalars or numpy arrays (`ProbMatrixReport` holds one per agent)."""
+    value = value.tolist() if hasattr(value, "tolist") else value
+    if isinstance(value, (tuple, list)):
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{index}[{k}]")
+    else:
+        yield index, value
+
+
+def report_fields() -> dict[str, str]:
+    """The `float.hex` of every float (the decimal of every integer) in the
+    fields of the pinned reports, keyed `<report>.<field>[index]`: the 5
+    `EstimateReport`s of one `estimate_distortions` call over every mechanism
+    on (3,2,1) under `iid-uniform01` (600 trials, seed 11), and the
+    `ProbMatrixReport` of `rsbs` on (3,2,1) under `iid-uniform01` (3000
+    trials, seed 5).  Reads the `ordmatch` on `sys.path`."""
+    from dataclasses import fields
+
+    from ordmatch import DistributionSpec, Instance, MechanismSpec, estimator
+
+    inst, dist = Instance((3, 2, 1)), DistributionSpec.iid_uniform01()
+    mechs = [MechanismSpec(name) for name in MECHANISMS]
+    estimates = estimator.estimate_distortions(mechs, dist, inst, 600, 11)
+    reports = {f"estimate-{mech.label()}": rep for mech, rep in zip(mechs, estimates)}
+    reports["probs-rsbs"] = estimator.estimate_assignment_probs(MechanismSpec("rsbs"), dist, inst, 3000, 5)
+    return {
+        f"{name}.{f.name}{index}": x.hex() if isinstance(x, float) else str(x)
+        for name, rep in reports.items()
+        for f in fields(rep)
+        for index, x in _leaves(getattr(rep, f.name))
+    }
+
+
 def file_hashes(files) -> dict[str, str]:
     """The sha256 hex digest of each file, keyed by file name."""
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
@@ -152,7 +189,7 @@ def main(src: str, out: Path, write_pins: bool = False) -> None:
         import numpy
         import scipy
 
-        pins = {"numpy": numpy.__version__, "scipy": scipy.__version__, "files": hashes}
+        pins = {"numpy": numpy.__version__, "scipy": scipy.__version__, "files": hashes, "fields": report_fields()}
         PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 

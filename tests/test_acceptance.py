@@ -199,7 +199,8 @@ def test_criterion_8_secretary_marginals_and_threshold():
 
 
 def test_criterion_9_oracle_agreement():
-    """Assignment solver equals exhaustive enumeration; welfare <= optimum is
+    """Assignment solver equals exhaustive enumeration: never above the exact
+    optimum rounded once, and at most 1e-9 below it; welfare <= optimum is
     asserted on every Monte Carlo trial throughout this suite."""
     gen = RandomStream(9_009).generator()
     worst = 0.0
@@ -208,9 +209,14 @@ def test_criterion_9_oracle_agreement():
         profile = sample_profile(UNIFORM, inst, gen)
         solved = optimal_matching(inst, profile).value
         brute = brute_force_opt(inst, profile)
-        worst = max(worst, abs(solved - brute))
-        assert abs(solved - brute) <= 1e-9, (inst.quotas, solved, brute)
-    _ok(9, f"200 instances, solver vs enumeration within 1e-9 (worst {worst:.2e}); per-trial SW <= OPT enforced engine-wide")
+        worst = max(worst, brute - solved)
+        assert solved <= brute, (inst.quotas, solved, brute)  # one feasible welfare, exact bound
+        assert brute - solved <= 1e-9, (inst.quotas, solved, brute)
+    _ok(
+        9,
+        f"200 instances, solver <= exact enumeration and within 1e-9 below (worst {worst:.2e}); "
+        "per-trial SW <= OPT enforced engine-wide",
+    )
 
 
 def test_criterion_10_formula_inequalities():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ordmatch import DistributionSpec, GapReport, Instance, MechanismSpec, analytics, estimate_distortion
-from ordmatch import cli, estimator
+from ordmatch import cli, estimator, opt
 from ordmatch.cli import main
 
 
@@ -145,7 +145,7 @@ class TestRun:
             {
                 "instance": {"quotas": [2, 1]},
                 "distribution": {"name": "iid-uniform01"},
-                "mechanisms": [{"name": "rs", "complete": False}, {"name": "rs"}],
+                "mechanisms": [{"name": "rs", "complete": False}, {"name": "hql"}],
                 "trials": 200,
                 "seed": 3,
                 "output": str(tmp_path / "out.csv"),
@@ -153,10 +153,64 @@ class TestRun:
         )
         assert main(["run", cfg, "--complete"]) == 0
         header, *rows = read_rows(tmp_path / "out.csv")
-        rs = MechanismSpec.rs(complete=True)
-        forced = estimate_distortion(rs, DistributionSpec.iid_uniform01(), Instance((2, 1)), 200, 3)
-        assert [row[header.index("mean_sw")] for row in rows] == [cli._fmt(forced.mean_sw)] * 2
-        assert [row[header.index("mechanism")] for row in rows] == ["rs(complete)"] * 2
+        specs = [MechanismSpec.rs(complete=True), MechanismSpec.hql(complete=True)]
+        forced = estimator.estimate_distortions(specs, DistributionSpec.iid_uniform01(), Instance((2, 1)), 200, 3)
+        assert [row[header.index("mean_sw")] for row in rows] == [cli._fmt(rep.mean_sw) for rep in forced]
+        assert [row[header.index("mechanism")] for row in rows] == ["rs(complete)", "hql(complete)"]
+
+    @pytest.mark.parametrize(
+        "sections, flags, message",
+        [
+            pytest.param(
+                {
+                    "instances": [{"quotas": [1, 1]}, {"n": 2, "m": 2, "generator": "uniform-quotas"}],
+                    "mechanisms": [{"name": "rs"}, {"name": "rs", "complete": True}],
+                },
+                ["--complete"],
+                "instances[1]: same as instances[0]",
+                id="instances-and-completed-mechanisms",
+            ),
+            pytest.param(
+                {"mechanisms": [{"name": "rs"}, {"name": "rs", "complete": True}]},
+                ["--complete"],
+                "mechanisms[1]: same as mechanisms[0] (rs(complete))",
+                id="completed-mechanisms",
+            ),
+            pytest.param(
+                {"mechanisms": [{"name": "hql"}, {"name": "rs"}, {"name": "hql", "complete": False}]},
+                [],
+                "mechanisms[2]: same as mechanisms[0] (hql)",
+                id="listed-mechanisms",
+            ),
+            pytest.param(
+                {
+                    "distributions": [
+                        {"name": "iid-bernoulli", "p": 0.3},
+                        {"name": "iid-uniform01"},
+                        {"name": "iid-bernoulli", "p": 0.30},
+                    ]
+                },
+                [],
+                "distributions[2]: same as distributions[0] (iid-bernoulli(p=0.3))",
+                id="distributions",
+            ),
+        ],
+    )
+    def test_equal_section_items_exit_2(self, tmp_path, capsys, sections, flags, message):
+        # two equal cells would write identical rows under one name
+        payload = {
+            "instance": {"quotas": [1, 1]},
+            "distribution": {"name": "iid-uniform01"},
+            "mechanism": {"name": "rs"},
+            "trials": 50,
+            "output": str(tmp_path / "out.csv"),
+        }
+        for section, items in sections.items():
+            del payload[section[:-1]]
+            payload[section] = items
+        assert main(["run", write_config(tmp_path / "c.json", payload), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_mechanism_column_names_every_field(self, tmp_path):
         # cells that differ only in `complete` must not share a name
@@ -566,12 +620,24 @@ class TestOptcheck:
     def test_oracle_mismatch_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "brute_force_opt", lambda inst, profile: -1.0)
         assert main(["optcheck", "--max-m", "4", "--cases", "3", "--seed", "1"]) == 3
-        assert "mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "oracle mismatch on case 0: engine above the exact optimum:" in err
 
     def test_engine_oracle_is_checked(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "optimal_value", lambda inst, values: -1.0)
         assert main(["optcheck", "--max-m", "4", "--cases", "3", "--seed", "1"]) == 3
-        assert "engine=-1.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "oracle mismatch on case 0: engine more than 1e-09 below it:" in err
+        assert "engine=-1.0" in err
+
+    def test_engine_one_ulp_above_is_a_mismatch(self, monkeypatch, capsys):
+        # the engine's value is one feasible welfare, so any excess is a fault
+        def one_ulp_above(inst, values):
+            return float(np.nextafter(opt.optimal_value(inst, values), np.inf))
+
+        monkeypatch.setattr(cli, "optimal_value", one_ulp_above)
+        assert main(["optcheck", "--max-m", "4", "--cases", "3", "--seed", "1"]) == 3
+        assert "engine above the exact optimum" in capsys.readouterr().err
 
 
 class TestUfaudit:

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ordmatch import (
 )
 from ordmatch.distributions import DistributionSpec, sample_profile
 from ordmatch.mechanisms import MechanismSpec, run_mechanism
+from ordmatch.cli import split_quotas
 from ordmatch.core import derive_preferences
 from ordmatch import opt
 from ordmatch.opt import (
@@ -26,6 +29,14 @@ from ordmatch.opt import (
 )
 
 from conftest import random_instance
+
+
+def assert_below_exact_optimum(value, inst, profile):
+    """The engine's value, one matching's welfare rounded once, never exceeds
+    the exact optimum rounded once, and falls at most 1e-9 short of it."""
+    brute = brute_force_opt(inst, profile)
+    assert value <= brute
+    assert brute - value <= 1e-9
 
 
 def test_diagonal_profile_value_n():
@@ -66,9 +77,7 @@ def test_agrees_with_brute_force_on_three_agent_profiles():
         quotas = tuple(int(b) for b in np.diff(np.concatenate(([0], cuts, [m]))))
         inst = Instance(quotas)
         profile = sample_profile(DistributionSpec.iid_uniform01(), inst, gen)
-        assert optimal_matching(inst, profile).value == pytest.approx(
-            brute_force_opt(inst, profile), abs=1e-9
-        )
+        assert_below_exact_optimum(optimal_matching(inst, profile).value, inst, profile)
 
 
 def test_agrees_with_brute_force_on_sparse_profiles():
@@ -76,9 +85,7 @@ def test_agrees_with_brute_force_on_sparse_profiles():
     for _ in range(50):
         inst = random_instance(gen, n_max=4, m_max=7)
         profile = sample_profile(DistributionSpec.iid_bernoulli(0.3), inst, gen)
-        assert optimal_matching(inst, profile).value == pytest.approx(
-            brute_force_opt(inst, profile), abs=1e-9
-        )
+        assert_below_exact_optimum(optimal_matching(inst, profile).value, inst, profile)
 
 
 def test_brute_force_single_item():
@@ -147,10 +154,50 @@ def test_overflowing_welfare_is_a_value_error():
         lambda: social_welfare(Matching([0, 0]), profile),
         lambda: optimal_value(inst, profile.values),
         lambda: optimal_matching(inst, profile),
+        lambda: brute_force_opt(inst, profile),
     )
     for call in calls:
         with pytest.raises(ValueError, match="^values too large: a welfare sum leaves float64$"):
             call()
+
+
+def exact_optimum(inst, values):
+    """float of the largest exact welfare: one agent per item
+    (`itertools.product`), kept when every agent holds exactly its quota,
+    each welfare summed in `Fraction`."""
+    rows = [[Fraction(x) for x in row] for row in values.tolist()]
+    quotas = sorted(i for i, b in enumerate(inst.quotas) for _ in range(b))
+    return float(
+        max(
+            sum(rows[i][g] for g, i in enumerate(owners))
+            for owners in product(range(inst.n), repeat=inst.m)
+            if sorted(owners) == quotas
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["uniform", "0/1", "k/7"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_brute_force_is_the_exact_optimum_rounded_once(m, n, kind, seed):
+    # k/7 sums round, so a float accumulator can land an ulp off either way
+    rng = np.random.default_rng(seed)
+    inst = Instance(split_quotas(rng, min(n, m), m))
+    shape = (inst.n, m)
+    if kind == "uniform":
+        values = rng.random(shape)
+    elif kind == "0/1":
+        values = rng.integers(0, 2, shape).astype(np.float64)
+    else:
+        values = rng.integers(0, 8, shape) / 7
+    brute = brute_force_opt(inst, ValuationProfile(inst, values))
+    exact = exact_optimum(inst, values)
+    assert brute.hex() == exact.hex()  # bit for bit
+    assert optimal_value(inst, values) <= brute
 
 
 def test_rejects_profile_from_other_instance():
@@ -236,7 +283,7 @@ def test_optimal_values_match_per_trial_oracle(quotas, kinds, seed):
         assert result.value == got[k]
         assert np.array_equal(np.bincount(result.matching.assignment, minlength=inst.n), inst.quota_array)
         if inst.m <= 8:
-            assert got[k] == pytest.approx(brute_force_opt(inst, ValuationProfile(inst, v)), abs=1e-9)
+            assert_below_exact_optimum(got[k], inst, ValuationProfile(inst, v))
 
 
 def refuse(*args, **kwargs):

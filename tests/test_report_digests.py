@@ -1,7 +1,8 @@
-"""The report matrix of `tests/csv_matrix.py` pinned file by file against
-`tests/report_pins.json`, so a change that moves any report byte fails Tier-1
-and names the files it moved.  A change that alters reports on purpose
-rewrites the pins with `csv_matrix.py --write-pins` and says why in
+"""The report matrix of `tests/csv_matrix.py` pinned file by file, and a few
+report objects field by field, against `tests/report_pins.json`, so a change
+that moves any report byte, or the last bit of a pinned field, fails Tier-1
+and names the files and fields it moved.  A change that alters reports on
+purpose rewrites the pins with `csv_matrix.py --write-pins` and says why in
 CHANGES.md."""
 
 import json
@@ -31,6 +32,18 @@ def test_csv_matrix_digests_hold(tmp_path):
     missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
     assert not (changed or missing or extra), (
         f"reports moved: changed {changed}, missing {missing}, extra {extra} "
+        f"(made under numpy {np.__version__}, scipy {scipy.__version__}; "
+        f"pinned with numpy {pins['numpy']}, scipy {pins['scipy']})"
+    )
+
+
+def test_report_fields_hold():
+    pins = json.loads(csv_matrix.PINS.read_text(encoding="utf-8"))
+    want, got = pins["fields"], csv_matrix.report_fields()
+    changed = {name: f"{want[name]} -> {got[name]}" for name in sorted(want.keys() & got.keys()) if want[name] != got[name]}
+    missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+    assert not (changed or missing or extra), (
+        f"report fields moved: changed {changed}, missing {missing}, extra {extra} "
         f"(made under numpy {np.__version__}, scipy {scipy.__version__}; "
         f"pinned with numpy {pins['numpy']}, scipy {pins['scipy']})"
     )

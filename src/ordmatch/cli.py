@@ -10,10 +10,10 @@ distribution `name`, `p`, `hi`, `lo`, `agent`, `with_replacement` and `base`.
 Any other key, or a mix of the two instance forms, is a config error.  Each
 spec checks its own fields, and its error is reported at the field's config
 path; this module checks the rest.  The estimator refuses a `complete`
-mechanism for probs.  --trials, --seed and --out override the config, and
-`run --complete` tops up every mechanism, whatever its own `complete`; a
-`run` row names the full spec (`rs(complete)`).  A section item equal to an
-earlier one, after `run --complete`, is a config error.  All output CSVs are
+mechanism for probs.  --trials, --seed and --out override the config; a
+mechanism's own `complete` is the only way to ask for the quota-filling
+pass, and a `run` row names the full spec (`rs(complete)`).  A section item
+equal to an earlier one is a config error.  All output CSVs are
 deterministic given --seed (LF line endings, 12 significant digits).
 ORDMATCH_THREADS, which only this module reads, sets the `workers=` of run,
 probs and ufaudit (0 = one per CPU, unset = serial).
@@ -29,7 +29,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -163,11 +163,10 @@ def _parse_distribution(cfg, where: str) -> DistributionSpec:
     return _owned(where, DistributionSpec, _require(cfg, "name", where), **given)
 
 
-def _parse_mechanism(cfg, where: str, force: bool) -> MechanismSpec:
+def _parse_mechanism(cfg, where: str) -> MechanismSpec:
     _check_keys(cfg, where, ("name", "complete", "order"))
     order = None if cfg.get("order") is None else _list(cfg["order"], f"{where}.order")
-    spec = _owned(where, MechanismSpec, _require(cfg, "name", where), complete=cfg.get("complete", False), order=order)
-    return replace(spec, complete=True) if force else spec
+    return _owned(where, MechanismSpec, _require(cfg, "name", where), complete=cfg.get("complete", False), order=order)
 
 
 def _parse_many(cfg: dict, singular: str, plural: str, parse) -> list:
@@ -204,13 +203,12 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
     if need_mechanism:
         sections += ("mechanism", "mechanisms")
     _check_keys(cfg, "", (*sections, "trials", "seed", "output"))
-    force = getattr(args, "complete", False)  # run --complete
 
     instances = _parse_many(cfg, "instance", "instances", _parse_instance)
     dists = _parse_many(cfg, "distribution", "distributions", _parse_distribution)
     mechs = []
     if need_mechanism:
-        mechs = _parse_many(cfg, "mechanism", "mechanisms", lambda c, w: _parse_mechanism(c, w, force))
+        mechs = _parse_many(cfg, "mechanism", "mechanisms", _parse_mechanism)
 
     trials = check_int(cfg.get("trials", 10000), "trials", 1)
     if getattr(args, "trials", None) is not None:
@@ -331,10 +329,11 @@ def cmd_curve(args) -> int:
     best_x, best_bound = 1.0, 1.0
     rows = []
     for k in range(1, args.points + 1):
-        point = analytics.distortion_gap_curve(k / args.points)
-        if point.bound > best_bound:
-            best_x, best_bound = point.x, point.bound
-        rows.append({"x": point.x, "bound": point.bound})
+        x = k / args.points
+        bound = analytics.distortion_gap_curve(x)
+        if bound > best_bound:
+            best_x, best_bound = x, bound
+        rows.append({"x": x, "bound": bound})
     _write_csv(args.out, rows, footer=f"# max,{_fmt(best_bound)},x,{_fmt(best_x)}\n")
     return 0
 
@@ -409,10 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override config output path")
         p.set_defaults(func=func)
-        return p
 
-    p_run = add_config_command("run", cmd_run, "estimate distortion for each config cell, write CSV")
-    p_run.add_argument("--complete", action="store_true", help="force every mechanism's quota-filling pass")
+    add_config_command("run", cmd_run, "estimate distortion for each config cell, write CSV")
     add_config_command("probs", cmd_probs, "estimate per-(agent, rank) assignment probabilities")
     add_config_command("ufaudit", cmd_ufaudit, "audit a distribution's unbiased-favorites property")
 

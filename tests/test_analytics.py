@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,21 @@ def quad_product_integral(slopes, tol=1e-13):
     val, err = quad(lambda y: math.prod(1.0 - a * y for a in slopes), 0.0, 1.0, epsabs=tol, epsrel=tol)
     assert err < 1e-11
     return val
+
+
+def exact_survivor(b, m):
+    return 1 - Fraction(b - 1, 3 * m)
+
+
+def exact_product_integral(quotas, m, skip):
+    """The integral over [0, 1] of prod_{j not in skip} (1 - b_j p_j y / m), in
+    exact arithmetic from its own polynomial expansion."""
+    poly = [Fraction(1)]  # ascending powers of y
+    for j, b in enumerate(quotas):
+        if j not in skip:
+            a = Fraction(b, m) * exact_survivor(b, m)
+            poly = [c - a * prev for c, prev in zip(poly + [0], [0] + poly)]
+    return sum(c / (d + 1) for d, c in enumerate(poly))
 
 
 class TestSurvivorProb:
@@ -62,19 +78,22 @@ class TestPolyProductIntegral:
             val = analytics.poly_product_integral(factors, m)
             assert val == pytest.approx(quad_product_integral([b * p / m for b, p in factors]), abs=1e-10)
 
-    def test_gauss_legendre_fallback_matches_expansion(self):
-        gen = RandomStream(81).generator()
-        k = 80  # beyond the expansion cutoff
-        m = 200
-        factors = [(1, float(gen.random())) for _ in range(k)]
-        val = analytics.poly_product_integral(factors, m)
-        slopes = [b * p / m for b, p in factors]
-        poly = np.array([1.0])
-        for a in slopes:
-            poly = np.convolve(poly, [1.0, -a])
-        exact = math.fsum(c / (d + 1) for d, c in enumerate(poly))
-        assert val == pytest.approx(exact, abs=1e-10)
-        assert val == pytest.approx(quad_product_integral(slopes), abs=1e-10)
+    @pytest.mark.parametrize("k", [19, 64, 65, 199])
+    def test_closed_forms_match_exact_integral(self, k):
+        # k factors in each integral: rs_q_exact over k + 1 agents, burning_prob over k + 2
+        quotas = ((3, 2, 1) * k)[: k + 2]
+        inst = Instance(quotas[: k + 1])
+        for i in range(3):
+            exact = float(exact_survivor(quotas[i], inst.m) * exact_product_integral(inst.quotas, inst.m, {i}))
+            assert analytics.rs_q_exact(inst, i) == pytest.approx(exact, rel=1e-13, abs=0)
+        inst = Instance(quotas)
+        x = Fraction(inst.b_max, inst.m)
+        numerator = Fraction(-math.expm1(inst.b_max / inst.m - 1.0))
+        for i in (1, 2):
+            # compare 1 - beta, the ratio that carries the integral: beta = 1 - ratio loses digits to cancellation
+            integral = exact_product_integral(quotas, inst.m, {i, 0})
+            kept = float(numerator / ((1 - x) * exact_survivor(quotas[i], inst.m) * integral))
+            assert 1.0 - analytics.burning_prob(inst, i, 0) == pytest.approx(kept, rel=1e-13, abs=0)
 
     def test_rejects_slope_above_one(self):
         with pytest.raises(ValueError):
@@ -224,26 +243,25 @@ class TestBenchmarkLowerBound:
 
 class TestDistortionGapCurve:
     def test_endpoint_one(self):
-        assert analytics.distortion_gap_curve(1.0).bound == pytest.approx(1.0, abs=1e-15)
+        assert analytics.distortion_gap_curve(1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_half_point(self):
-        point = analytics.distortion_gap_curve(0.5)
-        assert point.bound == pytest.approx(1.076449948795188, abs=1e-12)
+        assert analytics.distortion_gap_curve(0.5) == pytest.approx(1.076449948795188, abs=1e-12)
 
     def test_grid_max_at_half(self):
         grid = 10_000
         best_x, best = None, -1.0
         for k in range(1, grid + 1):
-            point = analytics.distortion_gap_curve(k / grid)
-            assert point.bound >= 1.0 - 1e-12
-            if point.bound > best:
-                best_x, best = point.x, point.bound
+            bound = analytics.distortion_gap_curve(k / grid)
+            assert bound >= 1.0 - 1e-12
+            if bound > best:
+                best_x, best = k / grid, bound
         assert best_x == pytest.approx(0.5, abs=1e-12)
         assert best == pytest.approx(1.07645, abs=1e-4)
         assert best <= 1.0765
 
     def test_small_ratio_limit(self):
-        assert analytics.distortion_gap_curve(1e-4).bound == pytest.approx(1.0, abs=1e-3)
+        assert analytics.distortion_gap_curve(1e-4) == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_out_of_range(self):
         for x in (0.0, -0.5, 1.5):

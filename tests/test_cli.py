@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import re
+import shlex
 from itertools import product
 from pathlib import Path
 
@@ -139,46 +140,24 @@ class TestRun:
         quotas = [int(q) for q in row[header.index("quotas")].split("|")]
         assert sum(quotas) == 12 and len(quotas) == 3 and all(q >= 1 for q in quotas)
 
-    def test_complete_flag_overrides_every_mechanism(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {
-                "instance": {"quotas": [2, 1]},
-                "distribution": {"name": "iid-uniform01"},
-                "mechanisms": [{"name": "rs", "complete": False}, {"name": "hql"}],
-                "trials": 200,
-                "seed": 3,
-                "output": str(tmp_path / "out.csv"),
-            },
-        )
-        assert main(["run", cfg, "--complete"]) == 0
-        header, *rows = read_rows(tmp_path / "out.csv")
-        specs = [MechanismSpec.rs(complete=True), MechanismSpec.hql(complete=True)]
-        forced = estimator.estimate_distortions(specs, DistributionSpec.iid_uniform01(), Instance((2, 1)), 200, 3)
-        assert [row[header.index("mean_sw")] for row in rows] == [cli._fmt(rep.mean_sw) for rep in forced]
-        assert [row[header.index("mechanism")] for row in rows] == ["rs(complete)", "hql(complete)"]
-
     @pytest.mark.parametrize(
-        "sections, flags, message",
+        "sections, message",
         [
             pytest.param(
                 {
                     "instances": [{"quotas": [1, 1]}, {"n": 2, "m": 2, "generator": "uniform-quotas"}],
-                    "mechanisms": [{"name": "rs"}, {"name": "rs", "complete": True}],
+                    "mechanisms": [{"name": "rs", "complete": True}, {"name": "rs", "complete": True}],
                 },
-                ["--complete"],
                 "instances[1]: same as instances[0]",
                 id="instances-and-completed-mechanisms",
             ),
             pytest.param(
-                {"mechanisms": [{"name": "rs"}, {"name": "rs", "complete": True}]},
-                ["--complete"],
+                {"mechanisms": [{"name": "rs", "complete": True}, {"name": "rs", "complete": True}]},
                 "mechanisms[1]: same as mechanisms[0] (rs(complete))",
                 id="completed-mechanisms",
             ),
             pytest.param(
                 {"mechanisms": [{"name": "hql"}, {"name": "rs"}, {"name": "hql", "complete": False}]},
-                [],
                 "mechanisms[2]: same as mechanisms[0] (hql)",
                 id="listed-mechanisms",
             ),
@@ -190,13 +169,12 @@ class TestRun:
                         {"name": "iid-bernoulli", "p": 0.30},
                     ]
                 },
-                [],
                 "distributions[2]: same as distributions[0] (iid-bernoulli(p=0.3))",
                 id="distributions",
             ),
         ],
     )
-    def test_equal_section_items_exit_2(self, tmp_path, capsys, sections, flags, message):
+    def test_equal_section_items_exit_2(self, tmp_path, capsys, sections, message):
         # two equal cells would write identical rows under one name
         payload = {
             "instance": {"quotas": [1, 1]},
@@ -208,7 +186,7 @@ class TestRun:
         for section, items in sections.items():
             del payload[section[:-1]]
             payload[section] = items
-        assert main(["run", write_config(tmp_path / "c.json", payload), *flags]) == 2
+        assert main(["run", write_config(tmp_path / "c.json", payload)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
 
@@ -235,8 +213,9 @@ class TestRun:
         labels = [row[header.index("mechanism")] for row in rows]
         assert labels == ["rs", "rs(complete)", "serial-dictator(2|0|1,complete)"]
 
-    @pytest.mark.parametrize("command", ["probs", "ufaudit"])
-    def test_complete_flag_is_run_only(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["run", "probs", "ufaudit"])
+    def test_no_command_takes_complete(self, tmp_path, capsys, command):
+        # a mechanism's own `complete` is the only way to ask for completion
         cfg = write_config(tmp_path / "c.json", {**BASE_RUN, "output": str(tmp_path / "out.csv")})
         assert main([command, cfg, "--complete"]) == 2
         assert "--complete" in capsys.readouterr().err
@@ -688,10 +667,13 @@ class TestUsage:
         assert "cannot read" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestReadme:
     def test_json_examples_are_accepted_configs(self, tmp_path):
         # a key the README documents but the parser rejects fails here
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        text = README.read_text(encoding="utf-8")
         blocks = re.findall(r"^```json\n(.*?)^```", text, re.S | re.M)
         assert blocks
         args = argparse.Namespace(out=str(tmp_path / "out.csv"))
@@ -699,3 +681,20 @@ class TestReadme:
             path = tmp_path / f"readme-{k}.json"
             path.write_text(block, encoding="utf-8")
             assert cli.load_config(str(path), args)["output"] == args.out
+
+    def test_flags_and_command_lines_parse(self):
+        # a flag or command line the README shows but the parser rejects fails here
+        text = README.read_text(encoding="utf-8")
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        options = {flag for command in commands.values() for flag in command._option_string_actions}
+        flags = set(re.findall(r"(?<![\w-])--\w[\w-]*", text))
+        assert flags and flags <= options, f"README names no command's option: {sorted(flags - options)}"
+        blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("ordmatch ")]
+        assert lines
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command line does not parse: {line}")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 from functools import partial
 from itertools import combinations
@@ -184,6 +185,35 @@ def _reference_prob_counts(
             hits[i] += got
             count_sq[i] += int(got.sum()) ** 2
     return hits, count_sq
+
+
+class TestFavoriteBundleTargets:
+    """Under favorite-bundle-uniform(1, 0) every value is 1 on the agent's
+    favorite bundle and 0 elsewhere, so both means have closed forms.  OPT
+    hands every favored item to one of its demanders, E[OPT] = m(1 - prod_i
+    (1 - b_i/m)); agent i holds b_i q_i favorites in expectation, E[SW] =
+    sum_i b_i q_i.  About 20 distinct comparisons are made (`serial-dictator`'s
+    SW is OPT, and `rs` and `secretary-rs` score the same survivors here): a
+    correct engine fails a 3-sigma band at about 5% of seeds and a 4-sigma
+    band at about 0.1%, so the bands are 4 standard errors wide."""
+
+    SEED = 2026
+    DIST = DistributionSpec.favorite_bundle_uniform(1.0, 0.0)
+
+    @pytest.mark.parametrize("quotas", [(3, 2, 1), (2, 1, 1), (5, 4, 1), (1, 1, 1, 1), (4, 2, 2, 1)])
+    def test_means_match_closed_forms(self, quotas):
+        inst = Instance(quotas)
+        mechs = [MechanismSpec(kind) for kind in mechanisms.KINDS]
+        reports = estimate_distortions(mechs, self.DIST, inst, 40_000, self.SEED, workers=os.cpu_count())
+        opt_target = inst.m * (1 - math.prod(1 - b / inst.m for b in quotas))
+        assert abs(reports[0].mean_opt - opt_target) <= 4 * reports[0].stderr_opt
+        # every favored item is taken by its first demander in pick order; with unit quotas every agent survives
+        exact = {"serial-dictator"} | ({"rs", "secretary-rs"} if set(quotas) == {1} else set())
+        for mech, rep in zip(mechs, reports):
+            sw_target = sum(b * q for b, q in zip(quotas, mechanisms.q_exact_per_agent(mech, inst)))
+            assert abs(rep.mean_sw - sw_target) <= 4 * rep.stderr_sw, (mech.kind, rep.mean_sw, sw_target)
+            if mech.kind in exact:
+                assert rep.distortion_estimate == 1.0, mech.kind
 
 
 class TestBatchMatchesReference:

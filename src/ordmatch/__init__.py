@@ -20,13 +20,11 @@ from .estimator import (
     EstimateReport,
     GapReport,
     ProbMatrixReport,
-    SecretaryGapReport,
     OneToOneReplayReport,
     UFAuditReport,
     estimate_assignment_probs,
     estimate_distortion,
     estimate_distortions,
-    run_lb_secretary,
     run_lb_theorem1,
     uf_audit,
 )
@@ -54,12 +52,10 @@ __all__ = [
     "EstimateReport",
     "GapReport",
     "ProbMatrixReport",
-    "SecretaryGapReport",
     "OneToOneReplayReport",
     "estimate_assignment_probs",
     "estimate_distortion",
     "estimate_distortions",
-    "run_lb_secretary",
     "run_lb_theorem1",
 ]
 

@@ -9,11 +9,13 @@ from a JSON config file.  Its top level takes `instance` or `instances`,
 distribution `name`, `p`, `hi`, `lo`, `agent`, `with_replacement` and `base`.
 Any other key, or a mix of the two instance forms, is a config error.  Each
 spec checks its own fields, and its error is reported at the field's config
-path; this module checks the rest.  The estimator refuses a `complete`
-mechanism for probs.  --trials, --seed and --out override the config; a
-mechanism's own `complete` is the only way to ask for the quota-filling
-pass, and a `run` row names the full spec (`rs(complete)`).  A section item
-equal to an earlier one is a config error.  All output CSVs are
+path; this module checks the rest.  Before any trial runs, each mechanism and
+distribution is checked against every instance, and an output path that is
+a directory or lies in a missing one is refused.  The estimator refuses a
+`complete` mechanism for probs.  --trials, --seed and --out override the
+config; a mechanism's own `complete` is the only way to ask for the
+quota-filling pass, and a `run` row names the full spec (`rs(complete)`).
+A section item equal to an earlier one is a config error.  All output CSVs are
 deterministic given --seed (LF line endings, 12 significant digits).
 ORDMATCH_THREADS, which only this module reads, sets the `workers=` of run,
 probs and ufaudit (0 = one per CPU, unset = serial).
@@ -37,8 +39,8 @@ import numpy as np
 
 from . import analytics, estimator
 from .core import Instance, RandomStream, check_int
-from .distributions import DistributionSpec, sample_profile
-from .mechanisms import MechanismSpec, q_exact_per_agent
+from .distributions import DistributionSpec, sample_profile, validate_for_instance
+from .mechanisms import MechanismSpec, mechanism_params, q_exact_per_agent
 from .opt import BRUTE_FORCE_MAX_ITEMS, brute_force_opt, optimal_value
 
 OPTCHECK_TOL = 1e-9
@@ -209,6 +211,15 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
     mechs = []
     if need_mechanism:
         mechs = _parse_many(cfg, "mechanism", "mechanisms", _parse_mechanism)
+    # each spec's owner checks it against every instance before any trial runs
+    checks = [(mechanism_params, mech) for mech in mechs] + [(validate_for_instance, dist) for dist in dists]
+    for k, inst in enumerate(instances):
+        for check, spec in checks:
+            try:
+                check(spec, inst)
+            except ValueError as e:
+                where = f"instances[{k}]" if "instances" in cfg else "instance"
+                raise ConfigError(f"{where}: {spec.label()}: {e}") from None
 
     trials = check_int(cfg.get("trials", 10000), "trials", 1)
     if getattr(args, "trials", None) is not None:
@@ -223,9 +234,11 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
         output = args.out
     if output is None:
         raise ConfigError("missing output path (config 'output' or --out)")
-    # refuse a path in a missing directory before any trial runs
+    # refuse a path in a missing directory, or a directory, before any trial runs
     if not Path(output).parent.is_dir():
         raise ConfigError(f"cannot write {output!r}: no such directory")
+    if Path(output).is_dir():
+        raise ConfigError(f"cannot write {output!r}: is a directory")
 
     return {
         "instances": instances,

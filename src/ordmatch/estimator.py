@@ -1,5 +1,5 @@
 """Monte Carlo engine: distortion estimates, per-(agent, rank) assignment
-probabilities, and the replay experiments for the adversarial constructions.
+probabilities, and the Theorem 1 replay (the benchmark calls it).
 
 Reproducibility contract: trial t draws every uniform it needs, in one fixed
 layout (sample block, tie-tag block, mechanism block), from
@@ -89,7 +89,9 @@ class EstimateReport:
 @dataclass(frozen=True, eq=False)
 class ProbMatrixReport:
     """Empirical assignment frequencies: q_hat[i][t] is the fraction of trials
-    in which agent i received their rank-(t+1) item."""
+    in which agent i received their rank-(t+1) item, hits[i][t] the count of
+    those trials, and count_sumsq[i] the sum over trials of the square of
+    agent i's favorite count (how many of their top b_i items they got)."""
 
     q_hat: tuple[np.ndarray, ...]
     half_width: tuple[np.ndarray, ...]
@@ -97,20 +99,6 @@ class ProbMatrixReport:
     count_sumsq: tuple[int, ...]
     trials: int
     seed: int
-
-    def favorite_yield(self, agent: int) -> float:
-        """Expected favorite-item count of one agent divided by their quota."""
-        b = len(self.q_hat[agent])
-        return float(self.hits[agent].sum()) / (self.trials * b)
-
-    def favorite_yield_stderr(self, agent: int) -> float:
-        b = len(self.q_hat[agent])
-        total = float(self.hits[agent].sum())
-        mean = total / self.trials
-        if self.trials < 2:
-            return 0.0
-        var = (float(self.count_sumsq[agent]) - self.trials * mean * mean) / (self.trials - 1)
-        return math.sqrt(max(var, 0.0) / self.trials) / b
 
 
 @dataclass(frozen=True)
@@ -122,18 +110,6 @@ class OneToOneReplayReport:
     stderr_sw: float
     opt_floor: float
     sw_ceiling: float
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class SecretaryGapReport:
-    yield_big: float
-    top_small: float
-    stderr_yield: float
-    stderr_top: float
-    threshold: float
-    min_side: float
     trials: int
     seed: int
 
@@ -355,7 +331,8 @@ def _map_chunks(
 ) -> list:
     """`fn` over every chunk of the call's plan, results in chunk order; an
     oversized trial is refused first.  Serially the chunks run as one group;
-    with more workers, they are cut into one contiguous group per worker."""
+    with more workers, they are cut into at most `workers` contiguous groups,
+    and the pool starts one process per group."""
     check_int(workers, "workers", 1)
     batch = _batch_size(inst)
     task = (mechs, dist, inst, _validated(mechs, dist, inst, trials, seed), seed)
@@ -367,7 +344,7 @@ def _map_chunks(
 
     size = -(-len(ranges) // groups)
     parts = [ranges[k : k + size] for k in range(0, len(ranges), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(parts)) as pool:
         return [r for group in pool.map(_run_group, repeat(fn), repeat(task), parts) for r in group]
 
 
@@ -570,54 +547,6 @@ def run_lb_theorem1(n: int, trials: int, seed: int, *, workers: int = 1) -> OneT
         stderr_sw=rep.stderr_sw,
         opt_floor=opt_floor,
         sw_ceiling=sw_ceiling,
-        trials=trials,
-        seed=seed,
-    )
-
-
-def run_lb_secretary(m: int, trials: int, seed: int, *, workers: int = 1) -> SecretaryGapReport:
-    """Measure the secretary variant on quotas (m-1, 1) under the two
-    one-agent adversarial profiles: the large agent's favorite-item yield and
-    the small agent's top-item probability.  At least one of the two must sit
-    at or below (3m-1)/(4m-2) up to three standard errors.
-
-    The second sub-experiment runs on seed+1 so the two measurements do not
-    share trial streams.
-    """
-    check_int(m, "m", 3)
-    inst = Instance((m - 1, 1))
-    mech = MechanismSpec.secretary_rs()
-    rep_big = estimate_assignment_probs(
-        mech, DistributionSpec.single_agent_adversarial(0), inst, trials, seed, workers=workers
-    )
-    rep_small = estimate_assignment_probs(
-        mech,
-        DistributionSpec.single_agent_adversarial(1),
-        inst,
-        trials,
-        (seed + 1) % 2**64,
-        workers=workers,
-    )
-    yield_big = rep_big.favorite_yield(0)
-    stderr_yield = rep_big.favorite_yield_stderr(0)
-    top_small = float(rep_small.q_hat[1][0])
-    stderr_top = math.sqrt(top_small * (1.0 - top_small) / trials)
-    threshold = (3.0 * m - 1.0) / (4.0 * m - 2.0)
-    if yield_big <= top_small:
-        min_side, min_err = yield_big, stderr_yield
-    else:
-        min_side, min_err = top_small, stderr_top
-    if min_side > threshold + 3.0 * min_err:
-        raise AssertionError(
-            f"both favorite-item rates ({yield_big}, {top_small}) exceed the {threshold} threshold"
-        )
-    return SecretaryGapReport(
-        yield_big=yield_big,
-        top_small=top_small,
-        stderr_yield=stderr_yield,
-        stderr_top=stderr_top,
-        threshold=threshold,
-        min_side=min_side,
         trials=trials,
         seed=seed,
     )

@@ -132,8 +132,9 @@ def optimal_values(inst: Instance, values: np.ndarray) -> np.ndarray:
 
 
 def optimal_value(inst: Instance, values: np.ndarray) -> float:
-    """Maximum social welfare of one (n, m) value matrix."""
-    return float(optimal_values(inst, np.asarray(values)[None])[0])
+    """Maximum social welfare of one (n, m) value matrix, checked as a
+    `ValuationProfile` (shape, finite, nonnegative)."""
+    return float(optimal_values(inst, ValuationProfile(inst, values).values[None])[0])
 
 
 def optimal_matching(inst: Instance, profile: ValuationProfile) -> OptResult:

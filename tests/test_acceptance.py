@@ -21,7 +21,6 @@ from ordmatch import (
     RandomStream,
     estimate_assignment_probs,
     estimate_distortion,
-    run_lb_secretary,
     run_lb_theorem1,
 )
 from ordmatch import analytics
@@ -187,14 +186,36 @@ def test_criterion_8_secretary_marginals_and_threshold():
                 assert dev <= tol, (inst.quotas, i, t, dev, tol)
                 worst_dev = max(worst_dev, dev)
 
-    rep = run_lb_secretary(20, 500_000, 308, workers=os.cpu_count())
-    assert rep.threshold == pytest.approx(0.7564102564102564, abs=1e-12)
-    err = rep.stderr_yield if rep.min_side == rep.yield_big else rep.stderr_top
-    assert rep.min_side <= rep.threshold + 3 * err
+    # quotas (m-1, 1): agent 0's favorite yield under the profile adversarial
+    # to it, agent 1's top-item rate under the one adversarial to it (on the
+    # next seed, so the two share no trial streams)
+    m, trials = 20, 500_000
+    inst = Instance((m - 1, 1))
+    big, small = (
+        estimate_assignment_probs(
+            MechanismSpec.secretary_rs(),
+            DistributionSpec.single_agent_adversarial(agent),
+            inst,
+            trials,
+            seed,
+            workers=os.cpu_count(),
+        )
+        for agent, seed in ((0, 308), (1, 309))
+    )
+    quota, total = m - 1, float(big.hits[0].sum())  # agent 0's favorite items over all trials
+    yield_big = total / (trials * quota)
+    mean = total / trials
+    var = (float(big.count_sumsq[0]) - trials * mean * mean) / (trials - 1)
+    stderr_yield = math.sqrt(max(var, 0.0) / trials) / quota
+    top_small = float(small.q_hat[1][0])
+    stderr_top = math.sqrt(top_small * (1.0 - top_small) / trials)
+    threshold = (3.0 * m - 1.0) / (4.0 * m - 2.0)
+    min_side, err = min((yield_big, stderr_yield), (top_small, stderr_top), key=lambda side: side[0])
+    assert min_side <= threshold + 3 * err, (yield_big, top_small, threshold)
     _ok(
         8,
         f"marginals agree on 10 instances (worst dev {worst_dev:.5f}); threshold check at m=20: "
-        f"min({rep.yield_big:.4f}, {rep.top_small:.4f}) <= 0.75641",
+        f"min({yield_big:.4f}, {top_small:.4f}) <= {threshold:.5f}",
     )
 
 

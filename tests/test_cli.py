@@ -24,6 +24,10 @@ def read_rows(path):
         return [row for row in csv.reader(f) if not row[0].startswith("#")]
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("this path must not be taken")
+
+
 BASE_RUN = {
     "instance": {"quotas": [1] * 10},
     "distribution": {"name": "iid-uniform01"},
@@ -372,16 +376,54 @@ class TestRun:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
-    def test_unwritable_output_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", {**BASE_RUN, "trials": 10})
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a path in a missing directory, or a directory, is refused before any trial runs
+        monkeypatch.setattr(estimator, "estimate_distortions", refuse)
+        cfg = write_config(tmp_path / "c.json", BASE_RUN)
         missing = str(tmp_path / "missing" / "x.csv")
         assert main(["run", cfg, "--out", missing]) == 2
         assert f"config error: cannot write {missing!r}: no such directory" in capsys.readouterr().err
-        # the directory exists but the path is itself a directory: refused at write time
         assert main(["run", cfg, "--out", str(tmp_path)]) == 2
-        assert f"error: cannot write {str(tmp_path)!r}:" in capsys.readouterr().err
+        assert f"config error: cannot write {str(tmp_path)!r}: is a directory" in capsys.readouterr().err
         assert main(["curve", "--points", "10", "--out", missing]) == 2
         assert f"error: cannot write {missing!r}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            pytest.param(
+                {"mechanisms": [{"name": "rs"}, {"name": "serial-dictator", "order": [2, 0, 1]}]},
+                "instances[1]: serial-dictator(2|0|1): order must be a permutation of the 2 agents",
+                id="order",
+            ),
+            pytest.param(
+                {
+                    "mechanism": {"name": "rs"},
+                    "distribution": {"name": "exchangeable-permutation", "base": [6, 5, 4, 3, 2, 1]},
+                },
+                "instances[1]: exchangeable-permutation(6|5|4|3|2|1): base vector has 6 entries, instance has 2 items",
+                id="base",
+            ),
+            pytest.param(
+                {"mechanism": {"name": "rs"}, "distribution": {"name": "single-agent-adversarial", "agent": 2}},
+                "instances[1]: single-agent-adversarial(agent=2): adversarial agent 2 out of range for n=2",
+                id="agent",
+            ),
+        ],
+    )
+    def test_every_cell_checked_before_any_trial(self, tmp_path, capsys, monkeypatch, section, message):
+        # the (3, 2, 1) cells would run 300k trials before the (1, 1) cell's check
+        monkeypatch.setattr(estimator, "estimate_distortions", refuse)
+        payload = {
+            "instances": [{"quotas": [3, 2, 1]}, {"quotas": [1, 1]}],
+            "distribution": {"name": "iid-uniform01"},
+            "trials": 300_000,
+            "output": str(tmp_path / "out.csv"),
+            **section,
+        }
+        assert main(["run", write_config(tmp_path / "c.json", payload)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_seed_beyond_64_bits_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

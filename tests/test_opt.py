@@ -210,6 +210,21 @@ def test_rejects_profile_from_other_instance():
         brute_force_opt(inst, profile)
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        pytest.param([[math.nan, 1.0], [1.0, 0.0]], "^values must be finite$", id="nan"),
+        pytest.param([[-1.0, -2.0], [-3.0, -1.0]], "^values must be nonnegative$", id="negative"),
+        pytest.param([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "^value matrix shape", id="shape"),
+    ],
+)
+def test_optimal_value_rejects_what_a_profile_rejects(values, message):
+    # a raw matrix gets the profile's checks: unchecked, the NaN case read 1.0
+    # and the negative one 0.0
+    with pytest.raises(ValueError, match=message):
+        optimal_value(Instance.one_to_one(2), values)
+
+
 # --- the engine's batched oracle -------------------------------------------------
 
 PROFILE_KINDS = ("uniform", "bernoulli-0.3", "bernoulli-1/n^2", "bundle-hi-lo", "integer-ties", "zero")

@@ -18,7 +18,6 @@ from .mechanisms import MechanismSpec, run_mechanism
 from .opt import OptResult, brute_force_opt, optimal_matching, optimal_value
 from .estimator import (
     EstimateReport,
-    GapReport,
     ProbMatrixReport,
     OneToOneReplayReport,
     UFAuditReport,
@@ -50,7 +49,6 @@ __all__ = [
     "optimal_matching",
     "optimal_value",
     "EstimateReport",
-    "GapReport",
     "ProbMatrixReport",
     "OneToOneReplayReport",
     "estimate_assignment_probs",

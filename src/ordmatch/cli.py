@@ -10,11 +10,12 @@ distribution `name`, `p`, `hi`, `lo`, `agent`, `with_replacement` and `base`.
 Any other key, or a mix of the two instance forms, is a config error.  Each
 spec checks its own fields, and its error is reported at the field's config
 path; this module checks the rest.  Before any trial runs, each mechanism and
-distribution is checked against every instance, and an output path that is
-a directory or lies in a missing one is refused.  The estimator refuses a
-`complete` mechanism for probs.  --trials, --seed and --out override the
-config; a mechanism's own `complete` is the only way to ask for the
-quota-filling pass, and a `run` row names the full spec (`rs(complete)`).
+distribution is checked against every instance by its module's
+`validate_for_instance`, which builds no mechanism parameters, and an output
+path that is a directory or lies in a missing one is refused.  The estimator
+refuses a `complete` mechanism for probs.  --trials, --seed and --out
+override the config; a mechanism's own `complete` is the only way to ask for
+the quota-filling pass, and a `run` row names the full spec (`rs(complete)`).
 A section item equal to an earlier one is a config error.  All output CSVs are
 deterministic given --seed (LF line endings, 12 significant digits).
 ORDMATCH_THREADS, which only this module reads, sets the `workers=` of run,
@@ -37,10 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, estimator
+from . import analytics, distributions, estimator, mechanisms
 from .core import Instance, RandomStream, check_int
-from .distributions import DistributionSpec, sample_profile, validate_for_instance
-from .mechanisms import MechanismSpec, mechanism_params, q_exact_per_agent
+from .distributions import DistributionSpec, sample_profile
+from .mechanisms import MechanismSpec, q_exact_per_agent
 from .opt import BRUTE_FORCE_MAX_ITEMS, brute_force_opt, optimal_value
 
 OPTCHECK_TOL = 1e-9
@@ -212,7 +213,8 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
     if need_mechanism:
         mechs = _parse_many(cfg, "mechanism", "mechanisms", _parse_mechanism)
     # each spec's owner checks it against every instance before any trial runs
-    checks = [(mechanism_params, mech) for mech in mechs] + [(validate_for_instance, dist) for dist in dists]
+    checks = [(mechanisms.validate_for_instance, mech) for mech in mechs]
+    checks += [(distributions.validate_for_instance, dist) for dist in dists]
     for k, inst in enumerate(instances):
         for check, spec in checks:
             try:
@@ -290,8 +292,8 @@ def cmd_run(args) -> int:
     }
     rows = []
     for inst, mech, dist in product(cfg["instances"], mechs, cfg["distributions"]):
-        gap = estimator.GapReport.of(reports[inst, dist][mech], inst)
-        rep = gap.estimate
+        rep = reports[inst, dist][mech]
+        benchmark_lb = analytics.benchmark_lower_bound(inst)
         rows.append(
             {
                 "n": inst.n,
@@ -305,8 +307,8 @@ def cmd_run(args) -> int:
                 "mean_sw": rep.mean_sw,
                 "distortion": rep.distortion_estimate,
                 "stderr": rep.stderr_ratio,
-                "benchmark_lb": gap.benchmark_lb,
-                "gap_ratio": gap.gap_ratio,
+                "benchmark_lb": benchmark_lb,
+                "gap_ratio": rep.distortion_estimate / benchmark_lb,
             }
         )
     _write_csv(cfg["output"], rows)

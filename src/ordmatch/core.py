@@ -43,11 +43,10 @@ class RandomStream:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer")
-            if not 0 <= int(v) < 2**64:
+            v = check_int(getattr(self, name), name, -math.inf)  # any integer: the 64-bit range is checked next
+            if not 0 <= v < 2**64:
                 raise ValueError(f"{name} must fit in 64 unsigned bits")
+            object.__setattr__(self, name, v)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -61,7 +60,10 @@ class Instance:
     quotas: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        q = tuple(check_int(b, f"quotas[{k}]", 1) for k, b in enumerate(self.quotas))
+        q = self.quotas
+        if not (isinstance(q, (list, tuple)) or isinstance(q, np.ndarray) and q.ndim == 1):
+            raise ValueError(f"quotas: expected a list of integers, got {q!r}")
+        q = tuple(check_int(b, f"quotas[{k}]", 1) for k, b in enumerate(q))
         if not q:
             raise ValueError("an instance needs at least one agent")
         object.__setattr__(self, "quotas", q)

@@ -1,5 +1,7 @@
 """Monte Carlo engine: distortion estimates, per-(agent, rank) assignment
-probabilities, and the Theorem 1 replay (the benchmark calls it).
+probabilities, and the Theorem 1 replay (the benchmark calls it).  A gap
+ratio is one division by `analytics.benchmark_lower_bound`, which callers
+such as `ordmatch run` make themselves.
 
 Reproducibility contract: trial t draws every uniform it needs, in one fixed
 layout (sample block, tie-tag block, mechanism block), from
@@ -45,7 +47,7 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from . import analytics, distributions, mechanisms, opt
+from . import distributions, mechanisms, opt
 from .core import (
     Instance,
     RandomStream,
@@ -112,20 +114,6 @@ class OneToOneReplayReport:
     sw_ceiling: float
     trials: int
     seed: int
-
-
-@dataclass(frozen=True)
-class GapReport:
-    estimate: EstimateReport
-    benchmark_lb: float
-    gap_ratio: float
-
-    @classmethod
-    def of(cls, estimate: EstimateReport, inst: Instance) -> "GapReport":
-        """An estimate against the benchmark floor of its instance."""
-        benchmark = analytics.benchmark_lower_bound(inst)
-        ratio = estimate.distortion_estimate / benchmark
-        return cls(estimate=estimate, benchmark_lb=benchmark, gap_ratio=ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,8 +394,8 @@ def wilson_half_width(successes: int, trials: int) -> float:
 
 
 def _ratio_stderr(mo: float, ms: float, vo: float, vs: float, cov: float, trials: int) -> float:
-    if ms == 0.0:
-        return math.inf
+    if ms == 0.0:  # no welfare on any trial: without OPT either, every trial's ratio is exactly 1
+        return 0.0 if mo == 0.0 else math.inf
     var = (vo / (ms * ms) - 2.0 * mo * cov / (ms**3) + mo * mo * vs / (ms**4)) / trials
     return math.sqrt(max(var, 0.0))
 

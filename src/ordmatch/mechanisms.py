@@ -102,10 +102,10 @@ def _validate_order(order: Sequence[int] | None, n: int) -> np.ndarray:
 
 
 def _checked_probability(value: float, what: str) -> float:
-    """Clamp a computed coin probability into [0, 1), failing loudly if it
+    """Clamp a computed coin probability into [0, 1], failing loudly if it
     sits outside by more than the sanity tolerance (an analytics bug)."""
     if not -PROB_SANITY_TOL <= value < 1.0 + PROB_SANITY_TOL:
-        raise AssertionError(f"{what} = {value!r} falls outside [0, 1)")
+        raise AssertionError(f"{what} = {value!r} falls outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
 
@@ -125,12 +125,12 @@ def rsbs_parameters(inst: Instance) -> tuple[int, np.ndarray, np.ndarray, float]
     p1[i_star] = -1.0  # the set-aside agent never survives phase 1
     betas = np.zeros(inst.n)
     for i in range(inst.n):
-        if i == i_star or inst.n == 1:
+        if i == i_star:
             continue
         betas[i] = _checked_probability(
             analytics.burning_prob(inst, i, i_star), f"burn probability for agent {i}"
         )
-    if inst.n == 1 or inst.b_max == inst.m:
+    if inst.b_max == inst.m:
         sigma = 0.0  # phase 3 has nobody to steal from
     else:
         sigma = _checked_probability(analytics.stealing_prob(inst.b_max, inst.m), "steal probability")
@@ -311,6 +311,13 @@ def mechanism_draw_count(spec: MechanismSpec, inst: Instance) -> int:
 def mechanism_params(spec: MechanismSpec, inst: Instance) -> tuple:
     """Precompute the per-instance constants a mechanism consumes."""
     return _MECHANISMS[spec.kind].params(spec, inst)
+
+
+def validate_for_instance(spec: MechanismSpec, inst: Instance) -> None:
+    """Refuse a spec that cannot run on `inst`, computing no parameters: the
+    only such spec is a pick order that is not a permutation of its agents."""
+    if spec.order is not None:
+        _validate_order(spec.order, inst.n)
 
 
 def assign_from_uniforms(spec: MechanismSpec, params: tuple, fav: tuple, u: np.ndarray) -> np.ndarray:

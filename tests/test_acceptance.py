@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from ordmatch import (
-    GapReport,
     Instance,
     RandomStream,
     estimate_assignment_probs,
@@ -129,19 +128,21 @@ def test_criterion_6_distortion_gap_ceilings():
     worst = 0.0
     for k, quotas in enumerate(rsbs_sweep):
         inst = Instance(quotas)
-        rep = GapReport.of(estimate_distortion(MechanismSpec.rsbs(), FAVORITE_01, inst, 40_000, 106 + k), inst)
-        tol = 3 * rep.estimate.stderr_ratio / rep.benchmark_lb
-        assert rep.gap_ratio <= 1.0765 + tol, (quotas, rep.gap_ratio)
-        worst = max(worst, rep.gap_ratio)
+        rep = estimate_distortion(MechanismSpec.rsbs(), FAVORITE_01, inst, 40_000, 106 + k)
+        floor = analytics.benchmark_lower_bound(inst)
+        gap, tol = rep.distortion_estimate / floor, 3 * rep.stderr_ratio / floor
+        assert gap <= 1.0765 + tol, (quotas, gap)
+        worst = max(worst, gap)
 
     gen = RandomStream(6_006).generator()
     worst_hql = 0.0
     for k in range(100):
         inst = random_instance(gen, n_max=6, m_max=12)
-        rep = GapReport.of(estimate_distortion(MechanismSpec.hql(), FAVORITE_01, inst, 10_000, 306 + k), inst)
-        tol = 3 * rep.estimate.stderr_ratio / rep.benchmark_lb
-        assert rep.gap_ratio <= 2 - 2 / math.e + tol, (inst.quotas, rep.gap_ratio)
-        worst_hql = max(worst_hql, rep.gap_ratio)
+        rep = estimate_distortion(MechanismSpec.hql(), FAVORITE_01, inst, 10_000, 306 + k)
+        floor = analytics.benchmark_lower_bound(inst)
+        gap, tol = rep.distortion_estimate / floor, 3 * rep.stderr_ratio / floor
+        assert gap <= 2 - 2 / math.e + tol, (inst.quotas, gap)
+        worst_hql = max(worst_hql, gap)
 
     grid = 10_000
     peak_bound, peak_x = max((analytics.distortion_gap_curve(k / grid), k / grid) for k in range(1, grid + 1))

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordmatch import DistributionSpec, GapReport, Instance, MechanismSpec, analytics, estimate_distortion
-from ordmatch import cli, estimator, opt
+from ordmatch import DistributionSpec, Instance, MechanismSpec, analytics, estimate_distortion
+from ordmatch import cli, estimator, mechanisms, opt
 from ordmatch.cli import main
 
 
@@ -54,7 +54,8 @@ class TestRun:
         header, row = read_rows(tmp_path / "out.csv")
         assert header[:5] == ["n", "m", "quotas", "mechanism", "distribution"]
         assert float(row[header.index("distortion")]) == 1.0
-        assert float(row[header.index("gap_ratio")]) == 1.0
+        # one agent takes every item, so the benchmark floor and the gap read exactly 1
+        assert row[header.index("benchmark_lb") :] == ["1", "1"]
 
     def test_one_to_one_distortion_below_ceiling(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {**BASE_RUN, "output": str(tmp_path / "out.csv")})
@@ -81,18 +82,19 @@ class TestRun:
         rows = read_rows(tmp_path / "sweep.csv")
         assert len(rows) == 1 + 2 * 2 * 3
         # rows run over instances, then mechanisms, then distributions, and each
-        # equals its cell's own gap report although the cells share trials
+        # equals its cell's own estimate, over the instance's floor, although
+        # the cells share trials
         cells = product(
             [Instance((1, 1)), Instance((2, 1))],
             [MechanismSpec(k) for k in ("rs", "hql", "rsbs")],
             [DistributionSpec.iid_uniform01(), DistributionSpec.favorite_bundle_uniform(1.0, 0.0)],
         )
         for row, (inst, mech, dist) in zip(rows[1:], cells):
-            gap = GapReport.of(estimate_distortion(mech, dist, inst, 400, 3), inst)
-            rep = gap.estimate
-            expected = (rep.mean_opt, rep.mean_sw, rep.distortion_estimate, rep.stderr_ratio)
+            rep = estimate_distortion(mech, dist, inst, 400, 3)
+            floor = analytics.benchmark_lower_bound(inst)
+            expected = (rep.mean_opt, rep.mean_sw, rep.distortion_estimate, rep.stderr_ratio, floor)
             assert row[2:5] == ["|".join(map(str, inst.quotas)), mech.label(), dist.label()]
-            assert row[7:] == [cli._fmt(x) for x in (*expected, gap.benchmark_lb, gap.gap_ratio)]
+            assert row[7:] == [cli._fmt(x) for x in (*expected, rep.distortion_estimate / floor)]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(
@@ -464,12 +466,15 @@ class TestRun:
         # the weight sum overflows here too, but with m == n there is nothing to share out
         assert cli._geometric_quotas(1024, 1024, 2.0) == (1,) * 1024
 
-    def test_oversized_trial_exit_2(self, tmp_path, capsys):
+    def test_oversized_trial_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the config check builds no mechanism parameters, which take seconds for rsbs at this size
+        monkeypatch.setattr(mechanisms, "rsbs_parameters", refuse)
         cfg = write_config(
             tmp_path / "c.json",
             {
-                **BASE_RUN,
                 "instance": {"n": 20_000, "m": 20_000, "generator": "uniform-quotas"},
+                "distribution": {"name": "iid-uniform01"},
+                "mechanisms": [{"name": "rs"}, {"name": "rsbs"}],
                 "trials": 1,
                 "output": str(tmp_path / "out.csv"),
             },

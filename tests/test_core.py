@@ -51,7 +51,7 @@ class TestRandomStream:
             RandomStream(-1)
         with pytest.raises(ValueError):
             RandomStream(2**64)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^seed: expected an integer, got 1.5$"):
             RandomStream(1.5)
 
 
@@ -77,6 +77,10 @@ class TestInstance:
         pytest.param(lambda: Instance((2.7, 1)), r"quotas\[0\]", id="quota-float"),
         pytest.param(lambda: Instance((1, True)), r"quotas\[1\]", id="quota-bool"),
         pytest.param(lambda: Instance(("2", 1)), r"quotas\[0\]", id="quota-string"),
+        pytest.param(lambda: Instance(3), "quotas", id="quotas-int"),
+        pytest.param(lambda: Instance("12"), "quotas", id="quotas-string"),
+        pytest.param(lambda: Instance(np.array([[2, 1]])), "quotas", id="quotas-2d-array"),
+        pytest.param(lambda: Instance({2: 1}), "quotas", id="quotas-dict"),
         pytest.param(lambda: Instance.one_to_one(True), "n", id="one-to-one-bool"),
         pytest.param(lambda: MechanismSpec("rs", complete="false"), "complete", id="complete-string"),
         pytest.param(lambda: MechanismSpec.hql(complete=1), "complete", id="complete-int"),

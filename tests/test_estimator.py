@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 import math
 import os
 import tracemalloc
@@ -9,7 +11,6 @@ import numpy as np
 import pytest
 
 from ordmatch import (
-    GapReport,
     Instance,
     RandomStream,
     derive_preferences,
@@ -22,7 +23,7 @@ from ordmatch import (
     social_welfare,
     uf_audit,
 )
-from ordmatch import estimator, mechanisms
+from ordmatch import analytics, cli, estimator, mechanisms
 from ordmatch.distributions import DistributionSpec
 from ordmatch.mechanisms import MechanismSpec
 
@@ -45,6 +46,14 @@ class TestDistortionEstimates:
             rep = estimate_distortion(MechanismSpec(kind, complete=True), UNIFORM, inst, 500, 41)
             assert rep.distortion_estimate == 1.0
             assert rep.mean_opt == rep.mean_sw
+
+    def test_welfare_free_cell_has_zero_stderr(self):
+        # SW and OPT are 0 on every trial, so the vacuous ratio 1 is exact
+        inst = Instance((2, 1))
+        rep = estimate_distortion(MechanismSpec.rs(), DistributionSpec.iid_bernoulli(0.0), inst, 50, 0)
+        assert (rep.mean_opt, rep.mean_sw, rep.distortion_estimate, rep.stderr_ratio) == (0.0, 0.0, 1.0, 0.0)
+        # with a positive mean optimum, a zero mean welfare leaves the ratio unbounded
+        assert estimator._ratio_stderr(1.0, 0.0, 0.0, 0.0, 0.0, 50) == math.inf
 
     def test_estimate_at_least_one(self):
         gen = RandomStream(42).generator()
@@ -148,8 +157,8 @@ ENGINE_CALLS = {
     [
         pytest.param((True, 1, 1), ValueError, "^trials: expected an integer, got True$", id="trials-bool"),
         pytest.param((2.5, 1, 1), ValueError, "^trials: expected an integer, got 2.5$", id="trials-float"),
-        pytest.param((10, 1.5, 1), TypeError, "^seed must be an integer$", id="seed-float"),
-        pytest.param((10, True, 1), TypeError, "^seed must be an integer$", id="seed-bool"),
+        pytest.param((10, 1.5, 1), ValueError, "^seed: expected an integer, got 1.5$", id="seed-float"),
+        pytest.param((10, True, 1), ValueError, "^seed: expected an integer, got True$", id="seed-bool"),
         pytest.param((10, 1, None), ValueError, "^workers: expected an integer, got None$", id="workers-none"),
     ],
 )
@@ -589,14 +598,39 @@ class TestAdversarialReplays:
             replay(size, 100, 0)
 
 
-class TestGapReport:
-    def test_single_agent_ratio_one(self):
-        inst = Instance((2,))
-        rep = GapReport.of(estimate_distortion(MechanismSpec.rs(complete=True), UNIFORM, inst, 400, 60), inst)
-        assert rep.benchmark_lb == 1.0
-        assert rep.gap_ratio == 1.0
 
-    def test_ratio_consistent(self):
+def run_gap_row(tmp_path, quotas, mechanism, trials, seed):
+    """The `ordmatch run` row of one cell, as a header-keyed dict."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "instance": {"quotas": list(quotas)},
+                "distribution": {"name": "iid-uniform01"},
+                "mechanism": mechanism,
+                "trials": trials,
+                "seed": seed,
+                "output": str(tmp_path / "out.csv"),
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    with open(tmp_path / "out.csv", newline="", encoding="utf-8") as f:
+        header, row = [r for r in csv.reader(f) if not r[0].startswith("#")]
+    return dict(zip(header, row))
+
+
+class TestGapReport:
+    def test_single_agent_ratio_one(self, tmp_path):
+        row = run_gap_row(tmp_path, (2,), {"name": "rs", "complete": True}, 400, 60)
+        assert analytics.benchmark_lower_bound(Instance((2,))) == 1.0
+        assert (row["benchmark_lb"], row["gap_ratio"]) == ("1", "1")
+
+    def test_ratio_consistent(self, tmp_path):
         inst = Instance((2, 1, 1))
-        rep = GapReport.of(estimate_distortion(MechanismSpec.rsbs(), UNIFORM, inst, 3_000, 61), inst)
-        assert rep.gap_ratio == rep.estimate.distortion_estimate / rep.benchmark_lb
+        row = run_gap_row(tmp_path, inst.quotas, {"name": "rsbs"}, 3_000, 61)
+        rep = estimate_distortion(MechanismSpec.rsbs(), UNIFORM, inst, 3_000, 61)
+        floor = analytics.benchmark_lower_bound(inst)
+        assert row["benchmark_lb"] == cli._fmt(floor)
+        assert row["gap_ratio"] == cli._fmt(rep.distortion_estimate / floor)

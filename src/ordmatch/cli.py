@@ -212,7 +212,8 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
     mechs = []
     if need_mechanism:
         mechs = _parse_many(cfg, "mechanism", "mechanisms", _parse_mechanism)
-    # each spec's owner checks it against every instance before any trial runs
+    # each spec's owner checks it against every instance, and the engine
+    # refuses an oversized trial, before any trial runs
     checks = [(mechanisms.validate_for_instance, mech) for mech in mechs]
     checks += [(distributions.validate_for_instance, dist) for dist in dists]
     for k, inst in enumerate(instances):
@@ -222,6 +223,7 @@ def load_config(path: str, args, need_mechanism: bool = True) -> dict:
             except ValueError as e:
                 where = f"instances[{k}]" if "instances" in cfg else "instance"
                 raise ConfigError(f"{where}: {spec.label()}: {e}") from None
+        estimator._batch_size(inst)
 
     trials = check_int(cfg.get("trials", 10000), "trials", 1)
     if getattr(args, "trials", None) is not None:

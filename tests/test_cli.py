@@ -484,6 +484,23 @@ class TestRun:
         assert err.startswith("error: one trial at n=20000, m=20000 needs about 12803840008 bytes")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_oversized_instance_refused_before_any_pair_runs(self, tmp_path, capsys, monkeypatch):
+        # the small instance's pair comes first, but no trial of it may run
+        monkeypatch.setattr(estimator, "estimate_distortions", refuse)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "instances": [{"quotas": [3, 2, 1]}, {"n": 20_000, "m": 20_000, "generator": "uniform-quotas"}],
+                "distribution": {"name": "iid-uniform01"},
+                "mechanism": {"name": "rs"},
+                "trials": 400_000,
+                "output": str(tmp_path / "out.csv"),
+            },
+        )
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: one trial at n=20000, m=20000 needs about")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_unknown_names_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

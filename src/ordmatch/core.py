@@ -177,7 +177,9 @@ def top_items(values: np.ndarray, tags: np.ndarray, depth: int) -> np.ndarray:
     depth + 1 sorted values hold a tie (its order or its cut would depend on
     the tags) is ranked by a lexsort on (-value, tag) instead.  A batch
     whose first row ties, or a table of full depth m, is taken whole to the
-    lexsort: 0/1 and all-equal rows tie nearly everywhere.
+    lexsort: 0/1 and all-equal rows tie nearly everywhere.  The engine
+    ranks 0/1 stacks with `top_binary_items` instead, which is pinned to
+    this function's answer.
 
     The arguments are read as they come, strided views included, and never
     written.  Besides the returned table, a call holds at most two arrays of
@@ -211,6 +213,26 @@ def top_items(values: np.ndarray, tags: np.ndarray, depth: int) -> np.ndarray:
         return top
     top = np.lexsort((t, -v), axis=-1)
     return top if depth == m else top[..., :depth].copy()
+
+
+def top_binary_items(values: np.ndarray, tags: np.ndarray, depth: int) -> np.ndarray:
+    """`top_items(values, tags, depth)`, bit for bit, when every value is 0.0
+    or 1.0 and every tag is a multiple of 2**-53 in [0, 1), as every uniform
+    drawn by `Generator.random` is.  `tags` is overwritten.
+
+    Each item's one sort key, key = tag - value, is written over `tags`.  It
+    is exact: an item of value 1 gets tag - 1 in [-1, 0), an item of value 0
+    keeps its tag in [0, 1), so keys order items by decreasing value and
+    then by increasing tag, and equal keys are equal (value, tag) pairs.
+    Those fall back to index order, as in `top_items`' lexsort: depth 1 is
+    the first `argmin`, deeper tables a stable `argsort`.  Besides the
+    returned table, a call holds at most that one order of the arguments'
+    shape.
+    """
+    key = np.subtract(tags, values, out=tags)
+    if depth == 1:
+        return np.argmin(key, axis=-1, keepdims=True).astype(np.int64, copy=False)
+    return np.argsort(key, axis=-1, kind="stable")[..., :depth].astype(np.int64)
 
 
 def favorite_pairs(rankings: np.ndarray, quotas: tuple[int, ...]) -> tuple:

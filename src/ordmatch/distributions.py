@@ -146,6 +146,17 @@ def validate_for_instance(spec: DistributionSpec, inst: Instance) -> None:
         raise ValueError(f"base vector has {len(spec.base)} entries, instance has {inst.m} items")
 
 
+def binary_values(spec: DistributionSpec) -> bool:
+    """Whether every value `spec` can draw is 0.0 or 1.0: under the Bernoulli
+    kinds and single-agent-adversarial always, under exchangeable-permutation
+    and favorite-bundle-uniform when their numbers are."""
+    if spec.kind == "exchangeable-permutation":
+        return set(spec.base) <= {0.0, 1.0}
+    if spec.kind == "favorite-bundle-uniform":
+        return {spec.hi, spec.lo} <= {0.0, 1.0}
+    return spec.kind in ("iid-bernoulli", "lower-bound-bernoulli", "single-agent-adversarial")
+
+
 def sample_draw_count(spec: DistributionSpec, inst: Instance) -> int:
     """Number of uniforms one profile draw consumes (the fixed layout size)."""
     if spec.kind == "single-agent-adversarial":

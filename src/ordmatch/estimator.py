@@ -32,7 +32,10 @@ each chunk refills (one contiguous group of chunks, and one buffer, per
 worker process), so chunks do not refault fresh pages; nothing outlives the
 call.  A chunk maps its values inside the block's sample region and ranks,
 solves and scores them there, so it builds no other (batch, n, m) copy and
-the block is the largest array it holds.
+the block is the largest array it holds.  It ranks 0/1 profiles (a spec
+whose `distributions.binary_values` holds) with `core.top_binary_items`,
+whose sort keys overwrite the block's tie tags, spent once ranked; every
+other profile goes to `core.top_items`.
 `_reference_trials` recomputes the same trials one at a time through the
 public single-run API; the test suite pins the two paths together on it.
 """
@@ -56,6 +59,7 @@ from .core import (
     derive_preferences,
     favorite_pairs,
     fsum_rows,
+    top_binary_items,
     top_items,
     welfare,
 )
@@ -147,8 +151,9 @@ def _trial_bytes(inst: Instance) -> int:
       uniforms under every layout, with the values mapped in place;
     - two (n, m) arrays while ranking or mapping: `top_items`' lexsort key
       and order (its depth-1 pass holds one key and a boolean mask), or an
-      argsort kind's order and the values gathered by it; the OPT owner
-      pass copies at most one;
+      argsort kind's order and the values gathered by it; `top_binary_items`
+      holds at most one order, its key being the tags; the OPT owner pass
+      copies at most one;
     - m more for single-agent-adversarial, whose (n, m) value matrix stands
       for a sample block of at most m draws;
     - 10 (n + m) for the per-trial rows of the ranking table, the favorite
@@ -227,7 +232,10 @@ def _chunk_arrays(task: tuple, block: np.ndarray, t0: int, t1: int) -> tuple[np.
     block = _fill_trial_blocks(seed, t0, block[:batch])
     values = distributions.values_from_uniforms(dist, inst, block[:, :d_sample])
     tags = block[:, d_sample : d_sample + d_tags].reshape(batch, n, m)
-    top = top_items(values, tags, inst.b_max)
+    if distributions.binary_values(dist):
+        top = top_binary_items(values, tags, inst.b_max)  # ranked over the tags, which nothing reads again
+    else:
+        top = top_items(values, tags, inst.b_max)
     fav = favorite_pairs(top, inst.quotas) if mechs else None
     start = d_sample + d_tags
     assignments = [

@@ -17,7 +17,7 @@ from ordmatch import (
     derive_preferences,
     social_welfare,
 )
-from ordmatch.core import fsum_rows, top_items, welfare
+from ordmatch.core import fsum_rows, top_binary_items, top_items, welfare
 from ordmatch.distributions import DistributionSpec, sample_profile
 from ordmatch.mechanisms import MechanismSpec
 from ordmatch.opt import optimal_matching
@@ -423,13 +423,17 @@ class TestCompleteMatching:
     m=st.integers(1, 9),
     lead=st.lists(st.integers(0, 4), max_size=2).map(tuple),
     kinds=st.sets(st.sampled_from(["continuous", "0/1", "all-equal"]), min_size=1),
+    coarse=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_top_items_is_the_ranking_prefix(m, lead, kinds, seed):
+def test_top_items_is_the_ranking_prefix(m, lead, kinds, coarse, seed):
     """Every depth of top_items equals the same prefix of the full tag-broken
     ranking, on batches whose rows are continuous, 0/1 or all equal, mixed.
     Values and tags are read-only strided views of one block, as in the
-    engine, and the same tags serve every depth."""
+    engine, and the same tags serve every depth.  Coarse tags lie on the
+    grid k/8, so equal (value, tag) pairs occur and fall back to index
+    order.  On batches of 0/1 rows alone, top_binary_items gives the same
+    tables and writes nothing but its tags argument."""
     rng = np.random.default_rng(seed)
     rows = {
         "continuous": rng.random((*lead, m)),
@@ -442,12 +446,25 @@ def test_top_items_is_the_ranking_prefix(m, lead, kinds, seed):
         values = np.where(pick == kind, row, values)
     block = rng.random((*lead, 2 * m + 1))
     block[..., :m] = values
+    if coarse:
+        block[..., m : 2 * m] = np.floor(block[..., m : 2 * m] * 8) / 8
     values, tags = block[..., :m], block[..., m : 2 * m]
     values.setflags(write=False)
     tags.setflags(write=False)
     full = lexsort_rankings(values, tags)
+    binary = np.isin(values, (0.0, 1.0)).all()
     for depth in range(1, m + 1):
         top = top_items(values, tags, depth)
         assert top.dtype == np.int64
         assert np.array_equal(top, full[..., :depth]), depth
+        if binary:
+            work = block.copy()
+            work_values = work[..., :m]
+            work_values.setflags(write=False)
+            top = top_binary_items(work_values, work[..., m : 2 * m], depth)
+            assert top.dtype == np.int64
+            assert np.array_equal(top, full[..., :depth]), depth
+            assert np.array_equal(work[..., m : 2 * m], tags - values)  # the keys, over the tags
+            work[..., m : 2 * m] = tags
+            assert np.array_equal(work, block)  # and nothing else
 

@@ -11,6 +11,7 @@ from scipy.special import chdtrc
 from ordmatch import Instance, RandomStream
 from ordmatch.distributions import (
     DistributionSpec,
+    binary_values,
     sample_draw_count,
     sample_profile,
     values_from_uniforms,
@@ -183,6 +184,28 @@ class TestSampling:
             skip = RandomStream(11).generator()
             skip.random(sample_draw_count(spec, inst))
             assert marker == skip.random(), spec.kind
+
+    @pytest.mark.parametrize(
+        "spec, binary",
+        [
+            (DistributionSpec.iid_uniform01(), False),
+            (DistributionSpec.iid_bernoulli(0.35), True),
+            (DistributionSpec.lower_bound_bernoulli(), True),
+            (DistributionSpec.single_agent_adversarial(0), True),
+            (DistributionSpec.single_agent_adversarial(0, with_replacement=False), True),
+            (DistributionSpec.favorite_bundle_uniform(1.0, 0.0), True),
+            (DistributionSpec.favorite_bundle_uniform(1.0, 0.25), False),
+            (DistributionSpec.exchangeable_permutation([1.0, 0.0, 0.0, 1.0, 0.0]), True),
+            (DistributionSpec.exchangeable_permutation([1.0, 0.0, 0.5, 1.0, 0.0]), False),
+        ],
+    )
+    def test_binary_values_by_kind(self, spec, binary):
+        # the engine ranks 0/1 profiles with top_binary_items; every value of
+        # a 0/1 spec's profiles is 0 or 1, and the others draw some other value
+        assert binary_values(spec) is binary
+        inst = Instance((2, 2, 1))
+        u = RandomStream(3).generator().random((200, sample_draw_count(spec, inst)))
+        assert bool(np.isin(values_from_uniforms(spec, inst, u), (0.0, 1.0)).all()) == binary
 
 
 class TestUFAudit:

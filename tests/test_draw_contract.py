@@ -57,3 +57,12 @@ def test_reused_block_matches_plain_philox(seed, d):
             assert filled[k].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
             assert np.array_equal(RandomStream(seed, t).generator().random(d), expected)
     assert not np.isnan(block).any()
+
+
+@pytest.mark.parametrize("seed, t0, d", [(0, 0, 7), (7, 1000, 2500), (2**64 - 1, 2**64 - 5, 64)])
+def test_every_draw_is_a_multiple_of_2_to_the_minus_53_below_one(seed, t0, d):
+    # core.top_binary_items ranks tie tags by tag - value, which is exact
+    # only on this grid: (tag * 2**53) is an integer in [0, 2**53)
+    k = estimator._fill_trial_blocks(seed, t0, np.empty((5, d))) * 2.0**53
+    assert np.array_equal(k, np.trunc(k))
+    assert k.min() >= 0 and k.max() < 2**53

@@ -234,6 +234,7 @@ class TestBatchMatchesReference:
     ]
     DISTS = [
         UNIFORM,
+        DistributionSpec.iid_bernoulli(0.5),
         DistributionSpec.lower_bound_bernoulli(),
         DistributionSpec.favorite_bundle_uniform(1.0, 0.0),
         DistributionSpec.single_agent_adversarial(0),
@@ -503,6 +504,8 @@ class TestChunkBudget:
             DistributionSpec.single_agent_adversarial(0, with_replacement=False),
             DistributionSpec.exchangeable_permutation([float(g % 4) for g in range(inst.m)]),
             DistributionSpec.favorite_bundle_uniform(1.0, 0.25),
+            DistributionSpec.favorite_bundle_uniform(1.0, 0.0),
+            DistributionSpec.iid_bernoulli(0.5),
         )
         chunks = [(estimator._distortion_chunk, (MechanismSpec(k, complete=True),)) for k in mechanisms.KINDS]
         chunks += [(estimator._probs_chunk, (MechanismSpec(k),)) for k in mechanisms.KINDS]
